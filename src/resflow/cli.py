@@ -47,19 +47,10 @@ def _load_config(args) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = parse_config(text)
-    solver = cfg.solver
-    if args.tol is not None:
-        solver = dataclasses.replace(solver, tol=args.tol)
-    if args.max_iters is not None:
-        solver = dataclasses.replace(solver, max_iters=args.max_iters)
-    if args.epsilon_scale is not None:
-        solver = dataclasses.replace(solver, epsilon_scale=args.epsilon_scale)
-    if min(solver.tol, solver.epsilon_scale) <= 0 or solver.max_iters < 1:
-        raise ConfigError("solver overrides must be positive")
-    output = cfg.output
     if getattr(args, "output", None) is not None:
-        output = dataclasses.replace(output, directory=args.output)
-    return dataclasses.replace(cfg, solver=solver, output=output)
+        cfg = dataclasses.replace(
+            cfg, output=dataclasses.replace(cfg.output, directory=args.output))
+    return cfg
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> Path:
@@ -82,13 +73,12 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     grid = cfg.build_grid()
     model = cfg.build_model()
-    options = cfg.solver.options()
     traj = flow.run_minimizing_movement(
         model, grid, cfg.initial_density(grid), cfg.scheme.tau, cfg.scheme.t_final,
-        options, with_diagnostics=cfg.output.diagnostics,
+        with_diagnostics=cfg.output.diagnostics,
     )
     path = _out_path(cfg, "trajectory.csv")
-    io.write_trajectory_csv(path, traj, model, options)
+    io.write_trajectory_csv(path, traj, model)
 
     check = flow.barrier_check(traj)
     worst = {"polish_gap": 0.0, "kkt_kappa": 0.0, "concavity_gap": 0.0}
@@ -105,7 +95,9 @@ def _cmd_solve(args) -> int:
                      "worst_step": check.worst_step},
         "residuals": worst,
     }
-    sys.stdout.write(io.emit_report("trajectory run", sections))
+    report = io.emit_report("trajectory run", sections)
+    _out_path(cfg, "report.txt").write_text(report)
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -119,7 +111,6 @@ def _cmd_sweep(args) -> int:
     study = flow.tau_refinement_study(
         model, grid, cfg.initial_density(grid), cfg.scheme.t_final,
         cfg.scheme.tau_list, rho0_fine=cfg.initial_density(fine),
-        options=cfg.solver.options(),
     )
     path = _out_path(cfg, "sweep.csv")
     io.write_sweep_csv(path, study, model)
@@ -157,7 +148,7 @@ def _cmd_compare(args) -> int:
     tau = min(cfg.scheme.tau_list)
     traj = flow.run_minimizing_movement(
         model, grid, cfg.initial_density(grid), tau, cfg.scheme.t_final,
-        cfg.solver.options(), with_diagnostics=False,
+        with_diagnostics=False,
     )
     ref = _fd_reference(cfg, model, grid)
     dist = compare_trajectories(grid, traj.times, traj.densities,
@@ -189,7 +180,7 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _verify_battery(options):
+def _verify_battery():
     """Yield (name, ok, worst measure) for the built-in invariant suite."""
     rng = np.random.default_rng(20260814)
     presets = [
@@ -212,10 +203,10 @@ def _verify_battery(options):
         mu = rng.uniform(0.3, 1.5, n) * grid.cell_width
         if trial % 2:
             rho = rng.uniform(0.3, 1.5, n)
-            sol = solve_fixed_target(model, grid, tau, mu, rho, options)
+            sol = solve_fixed_target(model, grid, tau, mu, rho)
             ref = brute_force_small(model, grid, tau, mu, rho=rho)
         else:
-            sol = solve_jko_step(model, grid, tau, mu, options)
+            sol = solve_jko_step(model, grid, tau, mu)
             ref = brute_force_small(model, grid, tau, mu)
         worst_val = max(worst_val, abs(sol.objective - ref.value))
         worst_h = max(worst_h, float(np.max(np.abs(sol.h - ref.h))))
@@ -227,7 +218,7 @@ def _verify_battery(options):
     model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
                         run_audit=False)
     mu = (1.0 + 0.2 * np.sin(2 * np.pi * grid.cell_centers)) * grid.cell_width
-    sol = solve_jko_step(model, grid, 0.05, mu, options)
+    sol = solve_jko_step(model, grid, 0.05, mu)
     n = grid.n_cells
     row_err = float(np.max(np.abs(sol.gamma[:n].sum(axis=1) - mu)))
     col_err = float(np.max(np.abs(
@@ -245,7 +236,7 @@ def _verify_battery(options):
     model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
                         run_audit=False)
     traj = flow.run_minimizing_movement(model, grid, np.ones(16), 0.1, 0.4,
-                                        options, with_diagnostics=False)
+                                        with_diagnostics=False)
     drift = float(np.max(np.abs(traj.densities - 1.0)))
     yield "stationary fixed point", drift <= 1e-6, drift
 
@@ -256,9 +247,9 @@ def _verify_battery(options):
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
+    _load_config(args)  # the battery is fixed; a given config must still parse
     failures = 0
-    for name, ok, worst in _verify_battery(cfg.solver.options()):
+    for name, ok, worst in _verify_battery():
         verdict = "PASS" if ok else "FAIL"
         sys.stdout.write(f"{verdict}  {name}  (worst {worst:.3e})\n")
         failures += 0 if ok else 1
@@ -285,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, handler) in specs.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="path to a key = value configuration file")
-        cmd.add_argument("--tol", type=float, help="solver convergence tolerance")
-        cmd.add_argument("--max-iters", type=int, dest="max_iters",
-                         help="solver iteration budget")
-        cmd.add_argument("--epsilon-scale", type=float, dest="epsilon_scale",
-                         help="starting regularization as a fraction of cell width squared")
         if name in ("solve", "sweep", "oracle"):
             cmd.add_argument("--output", help="output directory (overrides config)")
         if name == "oracle":

@@ -16,7 +16,6 @@ import numpy as np
 from .grid import Grid, build_grid
 from .model import Model, build_model
 from .reactions import Coefficient, make_reaction
-from .transport import SolverOptions
 
 
 class ConfigError(ValueError):
@@ -61,24 +60,6 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8
-    kkt_tol: float = 1e-6
-    max_iters: int = 100000
-    epsilon_scale: float = 0.1
-    polish: bool = True
-
-    def options(self) -> SolverOptions:
-        return SolverOptions(
-            tol=self.tol,
-            kkt_tol=self.kkt_tol,
-            max_iters=self.max_iters,
-            eps_start_factor=self.epsilon_scale,
-            polish=self.polish,
-        )
-
-
-@dataclass(frozen=True)
 class InitialConfig:
     kind: str = "constant"
     value: Coefficient = (1.0, 0.0)   # constant / linear profile a + b*x
@@ -107,7 +88,6 @@ class ExperimentConfig:
     domain: DomainConfig = DomainConfig()
     model: ModelConfig = ModelConfig()
     scheme: SchemeConfig = SchemeConfig()
-    solver: SolverConfig = SolverConfig()
     initial: InitialConfig = InitialConfig()
     output: OutputConfig = OutputConfig()
 
@@ -259,18 +239,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if scheme.t_final <= 0.0:
         raise ConfigError("scheme.t_final must be positive")
 
-    solver = SolverConfig(
-        tol=get("solver.tol", _parse_scalar, 1e-8),
-        kkt_tol=get("solver.kkt_tol", _parse_scalar, 1e-6),
-        max_iters=get("solver.max_iters", _parse_int, 100000),
-        epsilon_scale=get("solver.epsilon_scale", _parse_scalar, 0.1),
-        polish=get("solver.polish", _parse_bool, True),
-    )
-    if min(solver.tol, solver.kkt_tol, solver.epsilon_scale) <= 0.0:
-        raise ConfigError("solver tolerances and epsilon_scale must be positive")
-    if solver.max_iters < 1:
-        raise ConfigError("solver.max_iters must be positive")
-
     init_kind = get("initial.kind", str, "constant")
     if init_kind not in _INITIAL_KINDS:
         raise ConfigError(f"initial.kind must be one of {_INITIAL_KINDS}, got {init_kind!r}")
@@ -292,8 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     cfg = ExperimentConfig(
-        domain=domain, model=model, scheme=scheme,
-        solver=solver, initial=initial, output=output,
+        domain=domain, model=model, scheme=scheme, initial=initial, output=output,
     )
     # surface reaction-parameter violations (positivity etc.) at parse time
     try:
@@ -335,11 +302,6 @@ def render_config(cfg: ExperimentConfig) -> str:
     else:
         lines.append("scheme.tau_list = " + ", ".join(_fmt(t) for t in cfg.scheme.tau_list))
     lines.append(f"scheme.t_final = {_fmt(cfg.scheme.t_final)}")
-    lines.append(f"solver.tol = {_fmt(cfg.solver.tol)}")
-    lines.append(f"solver.kkt_tol = {_fmt(cfg.solver.kkt_tol)}")
-    lines.append(f"solver.max_iters = {cfg.solver.max_iters}")
-    lines.append(f"solver.epsilon_scale = {_fmt(cfg.solver.epsilon_scale)}")
-    lines.append(f"solver.polish = {_fmt(cfg.solver.polish)}")
     lines.append(f"initial.kind = {cfg.initial.kind}")
     if cfg.initial.kind in ("constant", "linear"):
         lines.append(f"initial.value = {_fmt_coefficient(cfg.initial.value)}")

@@ -168,7 +168,6 @@ def run_minimizing_movement(
     rho0: np.ndarray,
     tau: float,
     t_final: float,
-    options: SolverOptions | None = None,
     *,
     with_diagnostics: bool = True,
 ) -> Trajectory:
@@ -186,7 +185,6 @@ def run_minimizing_movement(
         raise ValueError("initial density must be strictly positive in every cell")
     if tau <= 0.0 or t_final <= 0.0:
         raise ValueError(f"need positive tau and t_final, got {tau!r}, {t_final!r}")
-    opts = (options or SolverOptions()).validated()
 
     n_steps = max(1, int(math.ceil(t_final / tau - 1e-12)))
     x = grid.cell_centers
@@ -211,8 +209,8 @@ def run_minimizing_movement(
     rho = rho0
     warm: np.ndarray | None = None
     for k in range(n_steps):
-        step_opts = dataclasses.replace(opts, init_phi_star=warm)
-        sol = solve_jko_step(model, grid, tau, rho * dx, options=step_opts)
+        sol = solve_jko_step(model, grid, tau, rho * dx,
+                             options=SolverOptions(init_phi_star=warm))
         if not sol.converged:
             raise RuntimeError(
                 f"transport step {k + 1}/{n_steps} did not converge; "
@@ -301,27 +299,27 @@ class LedgerRow:
     slack: float
 
 
-def dissipation_ledger(
-    trajectory: Trajectory,
-    model: Model,
-    options: SolverOptions | None = None,
-) -> tuple[LedgerRow, ...]:
+def dissipation_ledger(trajectory: Trajectory, model: Model) -> tuple[LedgerRow, ...]:
     """Per-step minimality audit of the trajectory.
 
     The produced density beats keeping the previous one, so
     energy_after + step_cost <= energy_before + self_cost must hold, where
     self_cost is the computed (not assumed zero) cost of transporting a
     snapshot onto itself. slack is the right side minus the left; a negative
-    slack beyond roundoff means a step was not actually minimal.
+    slack beyond roundoff means a step was not actually minimal. A self
+    transport that fails to certify raises RuntimeError naming the step.
     """
     grid = trajectory.grid
     dx = grid.cell_width
     rows = []
     for k in range(trajectory.n_steps):
         rho = trajectory.densities[k]
-        self_sol = solve_fixed_target(
-            model, grid, trajectory.tau, rho * dx, rho, options=options
-        )
+        self_sol = solve_fixed_target(model, grid, trajectory.tau, rho * dx, rho)
+        if not self_sol.converged:
+            raise RuntimeError(
+                f"ledger step {k + 1}/{trajectory.n_steps}: self transport did "
+                f"not converge; polish_gap {self_sol.residuals['polish_gap']:.3e}"
+            )
         lhs = float(trajectory.energies[k + 1] + trajectory.step_costs[k + 1])
         rhs = float(trajectory.energies[k] + self_sol.primal_value)
         rows.append(LedgerRow(
@@ -398,7 +396,6 @@ def tau_refinement_study(
     *,
     reference: FDSolution | None = None,
     rho0_fine: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
-    options: SolverOptions | None = None,
     space_factor: int = 4,
     time_factor: int = 8,
 ) -> RefinementStudy:
@@ -429,7 +426,7 @@ def tau_refinement_study(
     errors = []
     for tau in taus:
         traj = run_minimizing_movement(
-            model, grid, rho0, tau, t_final, options, with_diagnostics=False
+            model, grid, rho0, tau, t_final, with_diagnostics=False
         )
         errors.append(compare_trajectories(
             grid, traj.times, traj.densities,

@@ -1,8 +1,8 @@
 """CSV and report emission.
 
 All files start with ``#``-prefixed header lines carrying a schema id, a
-model fingerprint, and the options that produced the data, followed by one
-CSV header row and data rows. Floats are printed with 17 significant
+model fingerprint, and the step parameters that produced the data, followed
+by one CSV header row and data rows. Floats are printed with 17 significant
 digits, so writing and re-reading a file reproduces the doubles exactly;
 re-running the same configuration reproduces the bytes exactly except for
 the ``# written:`` line.
@@ -22,9 +22,8 @@ import numpy as np
 from .fdref import FDSolution
 from .flow import RefinementStudy, Trajectory
 from .model import Model
-from .transport import SolverOptions
 
-TRAJECTORY_SCHEMA = "resflow-trajectory-v1"
+TRAJECTORY_SCHEMA = "resflow-trajectory-v2"
 SWEEP_SCHEMA = "resflow-sweep-v1"
 FIELD_SCHEMA = "resflow-field-v1"
 
@@ -48,14 +47,6 @@ def model_hash(model: Model) -> str:
     return hashlib.sha256(model_signature(model).encode()).hexdigest()[:12]
 
 
-def _options_line(options: SolverOptions) -> str:
-    return (
-        f"tol={_g17(options.tol)} kkt_tol={_g17(options.kkt_tol)} "
-        f"max_iters={options.max_iters} epsilon_scale={_g17(options.eps_start_factor)} "
-        f"polish={'true' if options.polish else 'false'}"
-    )
-
-
 def _header(schema: str, model: Model, extra: list[str]) -> list[str]:
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return [
@@ -66,19 +57,12 @@ def _header(schema: str, model: Model, extra: list[str]) -> list[str]:
     ]
 
 
-def write_trajectory_csv(
-    path: str | Path,
-    trajectory: Trajectory,
-    model: Model,
-    options: SolverOptions | None = None,
-) -> None:
+def write_trajectory_csv(path: str | Path, trajectory: Trajectory, model: Model) -> None:
     """One row per (step, cell); h and phi_star are empty on step 0."""
-    options = options or SolverOptions()
     n = trajectory.grid.n_cells
     x = trajectory.grid.cell_centers
     buf = _io.StringIO()
     for line in _header(TRAJECTORY_SCHEMA, model, [
-        f"# solver: {_options_line(options)}",
         f"# tau: {_g17(trajectory.tau)} t_final: {_g17(trajectory.t_final)}",
     ]):
         buf.write(line + "\n")

@@ -342,14 +342,6 @@ class Model:
     def free_energy(self) -> FreeEnergy:
         return FreeEnergy(drift=self.drift)
 
-    def canonical_key(self) -> str:
-        c0, c1 = self.drift_coeff
-        lo, hi = self.boundary_density
-        return (
-            f"domain={self.x_lo!r}:{self.x_hi!r};drift={c0!r},{c1!r};"
-            f"boundary={lo!r},{hi!r};reaction[{self.reaction.canonical_key()}]"
-        )
-
     def with_audit(self, audit: ModelAudit) -> "Model":
         return replace(self, audit=audit)
 

@@ -1,6 +1,6 @@
 """Exhaustive reference solver for tiny instances.
 
-Independent of the production scaling solver: the transport subproblem is
+Independent of the production LP solver: the transport subproblem is
 solved by enumerating the vertices of the dual polytope once per instance
 (the dual maximum over a polytope with bounded coordinates is attained at a
 vertex), after which the transport cost for ANY interior column-mass vector

@@ -15,14 +15,11 @@ it bounds from below how fast mass can be injected by the reaction channel.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Coefficient",
@@ -30,7 +27,6 @@ __all__ = [
     "REACTION_KINDS",
     "as_coefficient",
     "make_reaction",
-    "invert_rate",
 ]
 
 # A spatial coefficient is c0 + c1 * x, stored as the pair (c0, c1).
@@ -221,60 +217,3 @@ def make_reaction(kind: str, **params) -> ReactionLaw:
             raise ValueError("signed-power reaction requires q >= 0")
         return _make_signed_power(coeffs["w"], coeffs["alpha"], coeffs["q"])
     raise ValueError(f"unknown reaction kind {kind!r}; registered kinds: {REACTION_KINDS}")
-
-
-def invert_rate(
-    law: ReactionLaw,
-    z: float,
-    x: float,
-    *,
-    tol: float = 1e-12,
-    max_doublings: int = 200,
-) -> float:
-    """Invert rate(., x) at the value z by bracket growth plus bisection.
-
-    Works for any strictly increasing rate curve, not just the registered
-    presets (their closed-form inverses are preferred in hot paths; this is
-    the reference fallback and the validator for custom laws).
-
-    Robustness note: the bracket grows geometrically from rho = 1 in both
-    directions, so curves with very flat tails still terminate; the final
-    bisection is stopped on the residual |rate(rho) - z| <= tol rather than
-    on the interval width, matching how the result is consumed.
-    """
-    z = float(z)
-    x = float(x)
-    floor = float(law.rate_floor(x))
-    if z <= floor:
-        raise ValueError(
-            f"rate value {z!r} is at or below the reaction floor {floor!r}; no density attains it"
-        )
-    lo, hi = 1.0, 1.0
-    f_lo = float(law.rate(lo, x))
-    f_hi = f_lo
-    grow = 2.0
-    for _ in range(max_doublings):
-        if f_lo <= z:
-            break
-        lo /= grow
-        f_lo = float(law.rate(lo, x))
-    else:
-        raise ValueError(f"could not bracket rate value {z!r} from below")
-    for _ in range(max_doublings):
-        if f_hi >= z:
-            break
-        hi *= grow
-        f_hi = float(law.rate(hi, x))
-    else:
-        raise ValueError(f"could not bracket rate value {z!r} from above")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(law.rate(mid, x))
-        if abs(f_mid - z) <= tol:
-            return mid
-        if f_mid < z:
-            lo = mid
-        else:
-            hi = mid
-    logger.warning("invert_rate hit the iteration cap; residual %.3g", abs(f_mid - z))
-    return 0.5 * (lo + hi)

@@ -1,4 +1,4 @@
-"""Reservoir-coupled transport steps: scaling solver plus exact polish.
+"""Reservoir-coupled transport steps, solved exactly and certified.
 
 Solves, on the cell-centered mesh, the step cost
 
@@ -10,19 +10,21 @@ equal (rho + tau h) dx, and no mass moves boundary-to-boundary. The target
 density rho is either prescribed (fixed-target) or eliminated through the
 free energy (implicit step of the minimizing-movement scheme).
 
-Architecture: a log-domain scaling loop with epsilon-continuation produces
-globally convergent duals; for small problems an exact transportation LP is
-then re-solved at the frozen column masses and the duals are rebuilt from its
-support graph, giving complementary slackness and dual feasibility to solver
-precision rather than to entropic blur. The creation field and (for implicit
-steps) the density are always defined through the dual prices, so the
-marginal-cost identities hold by construction on every iterate.
+Architecture: the column masses are the only coupling between the plan and
+the reaction/energy terms, and their eliminated per-column cost is convex.
+A joint LP over the admissible arcs and piecewise-linear column costs is
+re-solved with breakpoint windows that shrink around its optimum; the first
+windows are centred on the masses required at a seed price (the zero-rate
+price on a cold step, the previous step's prices on a warm one). The
+identified support is snapped to machine precision by the reduced
+optimality system, the duals are made exactly feasible by a double
+c-transform, and the verified primal-dual gap certifies the step. The
+creation field and (for implicit steps) the density are defined through the
+dual prices, so the marginal-cost identities hold by construction.
 """
 from __future__ import annotations
 
-import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -32,21 +34,16 @@ from scipy.optimize import linprog, nnls
 from .grid import Grid
 from .model import Model
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "Density",
     "CostMatrix",
     "SolverOptions",
     "TransportSolution",
     "PotentialReport",
-    "TransportMaps",
     "build_cost_matrix",
-    "generalized_scaling_solve",
     "solve_fixed_target",
     "solve_jko_step",
     "extract_potentials",
-    "extract_transport_maps",
     "weighted_median",
 ]
 
@@ -111,26 +108,9 @@ def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the scaling solver and the exact polish."""
+    """Warm start of a step: interior prices of a nearby solved step."""
 
-    tol: float = 1e-8
-    kkt_tol: float = 1e-6
-    max_iters: int = 100000
-    eps_start_factor: float = 0.1
-    eps_min_factor: float = 1e-3
-    polish: bool = True
-    polish_max_cells: int = 64
-    polish_passes: int = 40
     init_phi_star: np.ndarray | None = None
-
-    def validated(self) -> "SolverOptions":
-        if self.tol <= 0 or self.kkt_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.eps_min_factor > self.eps_start_factor:
-            raise ValueError("eps_min_factor must not exceed eps_start_factor")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -140,7 +120,8 @@ class TransportSolution:
     gamma rows/cols are ordered interior-then-walls as in CostMatrix. phi and
     phi_star carry the wall values pinned to +/- the reservoir potential in
     their last two slots. kappa is the dual offset of the price identity;
-    residuals holds named convergence measures.
+    iterations counts the joint-LP rounds of the polish; residuals holds
+    named convergence measures.
     """
 
     gamma: np.ndarray
@@ -169,14 +150,6 @@ class PotentialReport:
     support_slack: float
 
 
-@dataclass(frozen=True)
-class TransportMaps:
-    forward: np.ndarray
-    forward_spread: np.ndarray
-    backward: np.ndarray
-    backward_spread: np.ndarray
-
-
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     """Median of values under nonnegative weights (lower median convention)."""
     values = np.asarray(values, dtype=float)
@@ -193,7 +166,7 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scaling solver
+# exact polish
 # ---------------------------------------------------------------------------
 
 
@@ -212,45 +185,8 @@ class _Kernel:
         self.x = x
         self.dx = grid.cell_width
         self.psi = np.array([model.psi_lo, model.psi_hi])
-        walls = np.array([grid.x_lo, grid.x_hi])
-        # interior rows against [interior cols, walls]
-        self.q_row = np.concatenate(
-            [
-                (x[:, None] - x[None, :]) ** 2,
-                (x[:, None] - walls[None, :]) ** 2,
-            ],
-            axis=1,
-        ) / (2.0 * self.tau)
-        # [interior rows, wall rows] against interior cols
-        self.q_col = np.concatenate(
-            [
-                (x[:, None] - x[None, :]) ** 2,
-                (walls[:, None] - x[None, :]) ** 2,
-            ],
-            axis=0,
-        ) / (2.0 * self.tau)
         self.v = np.asarray(model.drift(x), dtype=float)
         self.total_mass = float(np.sum(mu))
-        self.log_mu = np.log(np.maximum(mu, 1e-300))
-
-    def phi_star_ext(self, phi_star: np.ndarray) -> np.ndarray:
-        return np.concatenate([phi_star, -self.psi])
-
-    def phi_ext(self, phi: np.ndarray) -> np.ndarray:
-        return np.concatenate([phi, self.psi])
-
-    def row_update(self, phi_star: np.ndarray, eps: float) -> np.ndarray:
-        m = (self.phi_star_ext(phi_star)[None, :] - self.q_row) / eps
-        mx = np.max(m, axis=1)
-        lse = mx + np.log(np.sum(np.exp(m - mx[:, None]), axis=1))
-        return eps * (self.log_mu - lse)
-
-    def col_log_weight(self, phi: np.ndarray, eps: float) -> np.ndarray:
-        """D_j with exp((D_j + t)/eps) the column sum at col potential t."""
-        m = (self.phi_ext(phi)[:, None] - self.q_col) / eps
-        mx = np.max(m, axis=0)
-        lse = mx + np.log(np.sum(np.exp(m - mx[None, :]), axis=0))
-        return eps * lse
 
     def col_target(self, t: np.ndarray) -> np.ndarray:
         """Required column mass when the column potential equals t."""
@@ -260,209 +196,6 @@ class _Kernel:
         else:
             rho = self.rho_target
         return (rho + self.tau * h) * self.dx
-
-    def col_target_slope(self, t: np.ndarray) -> np.ndarray:
-        """d/dt of col_target (always negative)."""
-        slope = -self.tau * self.dx * self.model.rate_at_price_derivative(-t, self.x)
-        if self.jko:
-            slope = slope - self.dx * np.exp(np.clip(-t - self.v, -_EXP_CAP, _EXP_CAP))
-        return slope
-
-    def col_update(self, phi: np.ndarray, phi_star: np.ndarray, eps: float) -> np.ndarray:
-        """Exact per-column root of exp((D+t)/eps) = required mass(t).
-
-        Solved in log form, f(t) = (D+t)/eps - log(required mass(t)), which
-        is strictly increasing with slope at least 1/eps and free of the
-        exponential stiffness that makes direct Newton creep.
-        """
-        d = self.col_log_weight(phi, eps)
-        t = phi_star.copy()
-
-        def f(tv):
-            # the required mass is decreasing in t and crosses zero at some
-            # finite price; beyond it there is no balance, so f = +inf there
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                target = self.col_target(tv)
-                val = (d + tv) / eps - np.log(target)
-                return np.where(target > 0.0, val, np.inf)
-
-        # bracket the root of the increasing function f
-        lo = t.copy()
-        hi = t.copy()
-        flo = f(lo)
-        step = np.full_like(t, 0.5)
-        for _ in range(200):
-            mask = ~(flo < 0.0)
-            if not np.any(mask):
-                break
-            lo[mask] -= step[mask]
-            step[mask] *= 2.0
-            flo = f(lo)
-        fhi = f(hi)
-        step = np.full_like(t, 0.5)
-        for _ in range(200):
-            mask = ~(fhi > 0.0)
-            if not np.any(mask):
-                break
-            hi[mask] += step[mask]
-            step[mask] *= 2.0
-            fhi = f(hi)
-
-        t = 0.5 * (lo + hi)
-        # |f| at the root is the relative mass-balance error of the column
-        for _ in range(120):
-            fv = f(t)
-            done = np.abs(fv) <= 1e-13
-            if np.all(done):
-                break
-            pos = fv > 0.0
-            hi = np.where(pos, t, hi)
-            lo = np.where(pos, lo, t)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                target = np.maximum(self.col_target(t), 1e-300)
-                deriv = 1.0 / eps - self.col_target_slope(t) / target
-                newton = t - fv / deriv
-            inside = (newton > lo) & (newton < hi)
-            t = np.where(done, t, np.where(inside & np.isfinite(newton), newton,
-                                           0.5 * (lo + hi)))
-        return t
-
-    def plan(self, phi: np.ndarray, phi_star: np.ndarray, eps: float) -> np.ndarray:
-        """Entropic plan on the full node ordering (interior..., walls)."""
-        n = len(self.mu)
-        full = np.zeros((n + 2, n + 2))
-        m_row = (phi[:, None] + self.phi_star_ext(phi_star)[None, :] - self.q_row) / eps
-        full[:n, list(range(n)) + [n, n + 1]] = np.exp(np.clip(m_row, -_EXP_CAP, _EXP_CAP))
-        m_bnd = (self.psi[:, None] + phi_star[None, :] - self.q_col[n:, :]) / eps
-        full[n:, :n] = np.exp(np.clip(m_bnd, -_EXP_CAP, _EXP_CAP))
-        return full
-
-    def kernel_sum(self, phi: np.ndarray, phi_star: np.ndarray, eps: float) -> float:
-        m_row = (phi[:, None] + self.phi_star_ext(phi_star)[None, :] - self.q_row) / eps
-        n = len(self.mu)
-        m_bnd = (self.psi[:, None] + phi_star[None, :] - self.q_col[n:, :]) / eps
-        return float(
-            np.sum(np.exp(np.clip(m_row, -_EXP_CAP, _EXP_CAP)))
-            + np.sum(np.exp(np.clip(m_bnd, -_EXP_CAP, _EXP_CAP)))
-        )
-
-    def dual_objective(self, phi: np.ndarray, phi_star: np.ndarray, eps: float) -> float:
-        reaction = self.tau * self.dx * np.sum(
-            self.model.cost_conjugate(-phi_star, self.x)
-        )
-        if self.jko:
-            energy = self.dx * np.sum(self.model.free_energy.conjugate(-phi_star, self.x))
-            linear = float(np.sum(phi * self.mu)) - energy
-        else:
-            linear = float(
-                np.sum(phi * self.mu) + np.sum(phi_star * self.rho_target) * self.dx
-            )
-        return linear - reaction - eps * self.kernel_sum(phi, phi_star, eps)
-
-    def row_residual(self, phi: np.ndarray, phi_star: np.ndarray, eps: float) -> float:
-        m = (phi[:, None] + self.phi_star_ext(phi_star)[None, :] - self.q_row) / eps
-        sums = np.sum(np.exp(np.clip(m, -_EXP_CAP, _EXP_CAP)), axis=1)
-        return float(np.max(np.abs(sums - self.mu))) / max(self.total_mass, 1e-300)
-
-
-def generalized_scaling_solve(
-    model: Model,
-    grid: Grid,
-    tau: float,
-    mu: np.ndarray,
-    *,
-    rho_target: np.ndarray | None,
-    options: SolverOptions,
-) -> tuple[np.ndarray, np.ndarray, dict[str, float], bool, int]:
-    """Epsilon-continuation scaling loop; returns interior duals.
-
-    Alternates the closed-form row update with the exact column root-find at
-    each regularization level, halving epsilon from eps_start_factor * dx^2
-    down to eps_min_factor * dx^2 with warm starts. The dual objective is
-    checked to be non-decreasing across block updates at fixed epsilon on
-    every run; the worst violation is reported in the residual dictionary.
-    """
-    kern = _Kernel(model, grid, tau, np.asarray(mu, dtype=float),
-                   None if rho_target is None else np.asarray(rho_target, dtype=float))
-    opts = options.validated()
-    dx2 = grid.cell_width ** 2
-    eps = opts.eps_start_factor * dx2
-    eps_min = opts.eps_min_factor * dx2
-
-    if opts.init_phi_star is not None:
-        # a warm start is presumed near the sharp optimum: skip continuation,
-        # and keep the sweep budget short -- at this regularization the block
-        # updates contract too slowly to be worth more than a seed touch-up
-        phi_star = np.asarray(opts.init_phi_star, dtype=float).copy()
-        eps = eps_min
-        n_stages = 1
-        stage_cap = min(60, opts.max_iters)
-    else:
-        # price of the zero rate is always an admissible starting point
-        phi_star = -model.cost_slope(np.zeros(grid.n_cells), grid.cell_centers)
-        n_stages = max(1, int(math.ceil(math.log2(max(eps / eps_min, 1.0)))) + 1)
-        stage_cap = max(100, opts.max_iters // n_stages)
-    phi = kern.row_update(phi_star, eps)
-
-    iterations = 0
-    worst_mono = 0.0
-    best = (np.inf, phi.copy(), phi_star.copy())
-    converged = False
-    while True:
-        final_stage = eps <= eps_min * (1.0 + 1e-12)
-        stage_tol = opts.tol if final_stage else max(opts.tol, 1e-4)
-        d_prev = kern.dual_objective(phi, phi_star, eps)
-        stall = np.inf
-        stall_count = 0
-        stage_sweeps = 0
-        res = np.inf
-        while iterations < opts.max_iters and stage_sweeps < stage_cap:
-            phi = kern.row_update(phi_star, eps)
-            d_row = kern.dual_objective(phi, phi_star, eps)
-            phi_star = kern.col_update(phi, phi_star, eps)
-            d_col = kern.dual_objective(phi, phi_star, eps)
-            scale = 1.0 + max(abs(d_row), abs(d_col), abs(d_prev))
-            worst_mono = min(worst_mono, (d_row - d_prev) / scale, (d_col - d_row) / scale)
-            d_prev = d_col
-            iterations += 1
-            stage_sweeps += 1
-            res = kern.row_residual(phi, phi_star, eps)
-            if res <= stage_tol:
-                break
-            if res < stall * (1.0 - 1e-2):
-                stall = res
-                stall_count = 0
-            else:
-                stall_count += 1
-                if stall_count >= 25:
-                    logger.debug(
-                        "scaling stage eps=%.3g stalled at residual %.3g", eps, res
-                    )
-                    break
-        res = kern.row_residual(phi, phi_star, eps)
-        if res < best[0]:
-            best = (res, phi.copy(), phi_star.copy())
-        if final_stage:
-            converged = res <= opts.tol
-            break
-        if iterations >= opts.max_iters:
-            break
-        eps = max(eps * 0.5, eps_min)
-
-    if not converged:
-        res, phi, phi_star = best
-        logger.debug("scaling phase best residual %.3g (tol %.3g)", res, opts.tol)
-    residuals = {
-        "marginal": best[0] if not converged else kern.row_residual(phi, phi_star, eps),
-        "dual_monotonicity": worst_mono,
-        "eps_final": eps,
-    }
-    return phi, phi_star, residuals, converged, iterations
-
-
-# ---------------------------------------------------------------------------
-# exact polish
-# ---------------------------------------------------------------------------
 
 
 def _components_on_support(n: int, support: np.ndarray):
@@ -675,8 +408,8 @@ def _price_of_mass(kern: _Kernel, m: np.ndarray, cols: np.ndarray) -> np.ndarray
     """Column potential t with required-mass(t) = m, per listed column.
 
     The required mass is strictly decreasing in t, so the root is unique;
-    m = 0 returns the finite zero-mass price. Vectorized bracket plus
-    bisection/Newton as in the scaling column update.
+    m = 0 returns the finite zero-mass price. Vectorized bracket growth
+    plus bisection.
     """
     model = kern.model
     x = kern.x[cols]
@@ -809,21 +542,16 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     return gamma, m_star, value
 
 
-def _polish(
-    kern: _Kernel,
-    cost: CostMatrix,
-    phi: np.ndarray,
-    phi_star: np.ndarray,
-    opts: SolverOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, dict[str, float]]:
-    """Exact refinement of the scaling seed via convex mass refinement.
+def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
+    """Exact step optimum by convex mass refinement from a seed price.
 
     The column masses are the only coupling between the plan and the
     reaction/energy terms, and their eliminated cost is convex, so a
     piecewise-linear joint LP with geometrically shrinking breakpoint
-    windows converges globally to the step optimum. The identified support
-    is then snapped to machine precision by the reduced optimality system,
-    and a fresh plan LP at the exact masses certifies the result.
+    windows converges globally to the step optimum from any seed. The
+    identified support is then snapped to machine precision by the reduced
+    optimality system, and the candidate's verified primal-dual gap
+    certifies the result. Returns the best candidate and the LP rounds run.
     """
     n = cost.n_cells
 
@@ -862,8 +590,7 @@ def _polish(
         hi = np.maximum(m_star + 0.5 * width, lo + target_width)
     if best is None:
         best = _assemble_candidate(kern, cost, gamma_joint, m_star, m_min)
-    gamma, h, rho, phi_out, ps_out, value, gap = best
-    return gamma, h, rho, phi_out, ps_out, value, {"polish_gap": gap}
+    return best, rnd + 1
 
 
 def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
@@ -958,13 +685,6 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _seed_options(opts: SolverOptions, grid: Grid) -> SolverOptions:
-    """When the exact refinement will run, the scaling phase only seeds it."""
-    if opts.polish and grid.n_cells <= opts.polish_max_cells:
-        return replace(opts, tol=max(opts.tol, 1e-5))
-    return opts
-
-
 def _as_mass(mu, grid: Grid) -> np.ndarray:
     if isinstance(mu, Density):
         return np.asarray(mu.cell_mass, dtype=float)
@@ -976,42 +696,24 @@ def _as_mass(mu, grid: Grid) -> np.ndarray:
     return mu
 
 
-def _finish(
-    kern: _Kernel,
-    cost: CostMatrix,
-    phi: np.ndarray,
-    phi_star: np.ndarray,
-    residuals: dict[str, float],
-    converged: bool,
-    iterations: int,
-    opts: SolverOptions,
-) -> TransportSolution:
+def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
+    """Polish from the seed price, then certify and package the optimum."""
     model = kern.model
     x = kern.x
     dx = kern.dx
     tau = kern.tau
     n = kern.grid.n_cells
+    cost = build_cost_matrix(model, kern.grid, tau)
 
-    if opts.polish and n <= opts.polish_max_cells:
-        gamma, h, rho, phi_i, ps_i, value, extra = _polish(kern, cost, phi, phi_star, opts)
-        residuals = {**residuals, **extra}
-        # the refinement reports a verified relative primal-dual gap, which
-        # supersedes the scaling residual as the convergence certificate
-        converged = extra["polish_gap"] <= 1e-8
+    if options is None or options.init_phi_star is None:
+        # the price of the zero rate is always an admissible seed
+        phi_star = -model.cost_slope(np.zeros(n), x)
     else:
-        eps = residuals.get("eps_final", opts.eps_min_factor * kern.grid.cell_width ** 2)
-        gamma = kern.plan(phi, phi_star, eps)
-        row = gamma[:n].sum(axis=1)
-        scale = np.where(row > 0, kern.mu / np.maximum(row, 1e-300), 1.0)
-        gamma[:n] *= scale[:, None]
-        h = model.rate_at_price(-phi_star, x)
-        rho = np.exp(np.clip(-phi_star - kern.v, -_EXP_CAP, _EXP_CAP)) if kern.jko \
-            else kern.rho_target
-        transport_value = float(np.sum(gamma[~cost.forbidden] * cost.tilde[~cost.forbidden]))
-        value = transport_value + tau * dx * float(np.sum(model.cost(h, x)))
-        if kern.jko:
-            value += dx * float(np.sum(model.free_energy.density(rho, x)))
-        phi_i, ps_i = phi, phi_star
+        phi_star = np.asarray(options.init_phi_star, dtype=float)
+        if phi_star.shape != (n,):
+            raise ValueError(f"init_phi_star must hold {n} interior prices, "
+                             f"got shape {phi_star.shape}")
+    (gamma, h, rho, phi_i, ps_i, value, gap), rounds = _polish(kern, cost, phi_star)
 
     transport_cost = float(np.sum(gamma[~cost.forbidden] * cost.tilde[~cost.forbidden]))
     primal_value = transport_cost + tau * dx * float(np.sum(model.cost(h, x)))
@@ -1022,7 +724,7 @@ def _finish(
     report = extract_potentials(cost, model, kern.grid, gamma, h, phi_full, ps_full,
                                 weights=(rho + tau * h) * dx)
     residuals = {
-        **residuals,
+        "polish_gap": gap,
         "kkt_kappa": report.optimality_residual,
         "concavity_gap": report.concavity_gap,
         "support_slack": report.support_slack,
@@ -1036,8 +738,9 @@ def _finish(
         kappa=report.kappa,
         primal_value=primal_value,
         objective=objective,
-        converged=converged,
-        iterations=iterations,
+        # the verified relative primal-dual gap is the convergence certificate
+        converged=gap <= 1e-8,
+        iterations=rounds,
         residuals=residuals,
     )
 
@@ -1055,20 +758,13 @@ def solve_fixed_target(
     mu gives interior source cell masses (or a Density); rho the target cell
     densities. The creation field is eliminated through the column marginal:
     h_i = (column mass_i / dx - rho_i) / tau. On non-convergence the best
-    iterate is returned with converged=False rather than raising.
+    candidate is returned with converged=False rather than raising.
     """
-    opts = (options or SolverOptions()).validated()
     mu_arr = _as_mass(mu, grid)
     rho_arr = np.asarray(rho, dtype=float)
     if rho_arr.shape != (grid.n_cells,) or np.any(rho_arr < 0.0):
         raise ValueError("rho must be a nonnegative density vector on the cells")
-    cost = build_cost_matrix(model, grid, tau)
-    kern = _Kernel(model, grid, tau, mu_arr, rho_arr)
-    phi, phi_star, residuals, converged, iters = generalized_scaling_solve(
-        model, grid, tau, mu_arr, rho_target=rho_arr,
-        options=_seed_options(opts, grid)
-    )
-    return _finish(kern, cost, phi, phi_star, residuals, converged, iters, opts)
+    return _solve(_Kernel(model, grid, tau, mu_arr, rho_arr), options)
 
 
 def solve_jko_step(
@@ -1080,20 +776,13 @@ def solve_jko_step(
 ) -> TransportSolution:
     """One implicit free-energy step of the minimizing-movement scheme.
 
-    The target density is eliminated through its marginal price: on every
-    iterate rho = exp(-phi* - drift) and h = rate at price -phi*, so the
-    optimality identity cost_slope(h) = log rho + drift holds exactly by
-    construction. objective reports free energy plus step cost.
+    The target density is eliminated through its marginal price: rho =
+    exp(-phi* - drift) and h = rate at price -phi*, so the optimality
+    identity cost_slope(h) = log rho + drift holds exactly by construction.
+    objective reports free energy plus step cost.
     """
-    opts = (options or SolverOptions()).validated()
     mu_arr = _as_mass(mu, grid)
-    cost = build_cost_matrix(model, grid, tau)
-    kern = _Kernel(model, grid, tau, mu_arr, None)
-    phi, phi_star, residuals, converged, iters = generalized_scaling_solve(
-        model, grid, tau, mu_arr, rho_target=None,
-        options=_seed_options(opts, grid)
-    )
-    return _finish(kern, cost, phi, phi_star, residuals, converged, iters, opts)
+    return _solve(_Kernel(model, grid, tau, mu_arr, None), options)
 
 
 def extract_potentials(
@@ -1138,28 +827,4 @@ def extract_potentials(
         optimality_residual=optimality_residual,
         concavity_gap=concavity_gap,
         support_slack=max(support_slack, 0.0),
-    )
-
-
-def extract_transport_maps(solution: TransportSolution, grid: Grid) -> TransportMaps:
-    """Barycentric forward/backward maps of the plan with per-row spread."""
-    n = grid.n_cells
-    nodes = np.concatenate([grid.cell_centers, [grid.x_lo, grid.x_hi]])
-    gamma = solution.gamma
-    row_mass = gamma[:n].sum(axis=1)
-    fwd = np.full(n, np.nan)
-    fwd_spread = np.zeros(n)
-    ok = row_mass > 0
-    fwd[ok] = (gamma[:n] @ nodes)[ok] / row_mass[ok]
-    second = (gamma[:n] @ (nodes * nodes))[ok] / row_mass[ok]
-    fwd_spread[ok] = np.sqrt(np.maximum(second - fwd[ok] ** 2, 0.0))
-    col_mass = gamma[:, :n].sum(axis=0)
-    bwd = np.full(n, np.nan)
-    bwd_spread = np.zeros(n)
-    okc = col_mass > 0
-    bwd[okc] = (nodes @ gamma[:, :n])[okc] / col_mass[okc]
-    second_c = ((nodes * nodes) @ gamma[:, :n])[okc] / col_mass[okc]
-    bwd_spread[okc] = np.sqrt(np.maximum(second_c - bwd[okc] ** 2, 0.0))
-    return TransportMaps(
-        forward=fwd, forward_spread=fwd_spread, backward=bwd, backward_spread=bwd_spread
     )

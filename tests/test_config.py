@@ -39,10 +39,6 @@ def test_full_document_round_trips():
     model.boundary_density = 1.2, 0.8
     scheme.tau_list = 0.1, 0.05, 0.025
     scheme.t_final = 0.75
-    solver.tol = 1e-9
-    solver.max_iters = 5000
-    solver.epsilon_scale = 0.2
-    solver.polish = false
     initial.kind = sine
     initial.base = 1.1
     initial.amplitude = 0.05
@@ -71,15 +67,13 @@ def test_render_default_round_trips():
         ("scheme.tau_list = 0.05, 0.1", "decreasing"),
         ("scheme.tau_list = 0.1", "decreasing"),
         ("scheme.t_final = 0", "t_final"),
-        ("solver.max_iters = 0", "max_iters"),
-        ("solver.tol = 0", "positive"),
         ("model.reaction = exotic", "model.reaction"),
         ("model.boundary_density = -1", "boundary_density"),
         ("initial.kind = bump", "initial.kind"),
         ("no_equals_here", "key = value"),
         ("mystery.key = 1", "unknown key"),
         ("domain.n_cells = 8\ndomain.n_cells = 9", "duplicate"),
-        ("solver.polish = maybe", "boolean"),
+        ("output.diagnostics = maybe", "boolean"),
         ("domain.n_cells = 8.5", "integer"),
         ("scheme.tau = abc", "number"),
         ("model.drift = 1, 2, 3", "one or two"),
@@ -132,8 +126,6 @@ def test_config_builds_working_objects():
     assert model.audit is not None and model.audit.ok
     rho0 = cfg.initial_density(grid)
     assert rho0.shape == (8,)
-    opts = cfg.solver.options().validated()
-    assert opts.tol == cfg.solver.tol
 
 
 @settings(deadline=None, max_examples=25)
@@ -145,10 +137,9 @@ def test_config_builds_working_objects():
     q=st.floats(0.1, 2.0),
     drift=st.floats(-0.5, 0.5),
     bd=st.floats(0.3, 2.0),
-    tol=st.floats(1e-12, 1e-6),
-    polish=st.booleans(),
+    diagnostics=st.booleans(),
 )
-def test_random_valid_configs_round_trip(n, tau, t_final, w, q, drift, bd, tol, polish):
+def test_random_valid_configs_round_trip(n, tau, t_final, w, q, drift, bd, diagnostics):
     text = "\n".join([
         f"domain.n_cells = {n}",
         "model.reaction = log",
@@ -158,8 +149,7 @@ def test_random_valid_configs_round_trip(n, tau, t_final, w, q, drift, bd, tol, 
         f"model.boundary_density = {bd!r}",
         f"scheme.tau = {tau!r}",
         f"scheme.t_final = {t_final!r}",
-        f"solver.tol = {tol!r}",
-        f"solver.polish = {'true' if polish else 'false'}",
+        f"output.diagnostics = {'true' if diagnostics else 'false'}",
     ])
     cfg = parse_config(text)
     assert parse_config(render_config(cfg)) == cfg

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resflow import (
+    flow,
     barrier_check,
     calibrate_barriers,
     dissipation_ledger,
@@ -128,6 +129,20 @@ def test_dissipation_ledger_have_nonnegative_slack(decaying_traj, unit_model):
         assert row.self_cost == pytest.approx(0.0, abs=1e-10)
         assert row.slack >= -1e-9
         assert row.energy_after <= row.energy_before + 1e-12
+
+
+def test_dissipation_ledger_rejects_unconverged_self_transport(
+        decaying_traj, unit_model, monkeypatch):
+    real = flow.solve_fixed_target
+
+    def unconverged(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return dataclasses.replace(sol, converged=False,
+                                   residuals={**sol.residuals, "polish_gap": 3.5e-4})
+
+    monkeypatch.setattr(flow, "solve_fixed_target", unconverged)
+    with pytest.raises(RuntimeError, match=r"ledger step 1/4.*polish_gap 3\.500e-04"):
+        dissipation_ledger(decaying_traj, unit_model)
 
 
 def test_telescoped_bound(decaying_traj, unit_model, grid16):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from resflow import (
-    SolverOptions,
     emit_report,
     model_hash,
     model_signature,
@@ -47,15 +46,13 @@ def test_trajectory_roundtrip_is_exact(short_traj, unit_model, tmp_path):
 
 def test_trajectory_headers(short_traj, unit_model, tmp_path):
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, short_traj, unit_model, SolverOptions(tol=1e-9))
+    write_trajectory_csv(path, short_traj, unit_model)
     head = path.read_text().splitlines()[:5]
-    assert head[0] == "# schema: resflow-trajectory-v1"
+    assert head[0] == "# schema: resflow-trajectory-v2"
     assert head[1] == f"# model: {model_hash(unit_model)}"
-    assert head[2].startswith("# solver: tol=")
-    tol_token = head[2].split("tol=")[1].split()[0]
-    assert float(tol_token) == 1e-9
-    assert head[3].startswith("# tau: ")
-    assert head[4].startswith("# written: ")
+    assert head[2] == "# tau: 0.10000000000000001 t_final: 0.29999999999999999"
+    assert head[3].startswith("# written: ")
+    assert head[4] == "step,t,x,rho,h,phi_star"
 
 
 def test_rewrite_is_byte_identical_modulo_timestamp(short_traj, unit_model, tmp_path):

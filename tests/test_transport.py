@@ -48,15 +48,6 @@ def test_density_wrapper_roundtrip(grid8):
         Density(cell_mass=np.array([-0.1, 1.0]), cell_width=0.5)
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0).validated()
-    with pytest.raises(ValueError):
-        SolverOptions(max_iters=0).validated()
-    with pytest.raises(ValueError):
-        SolverOptions(eps_start_factor=1e-4, eps_min_factor=1e-2).validated()
-
-
 def test_stationary_step_is_exact_fixed_point(unit_model, grid16):
     mu = np.ones(grid16.n_cells) * grid16.cell_width
     sol = solve_jko_step(unit_model, grid16, 0.1, mu)
@@ -112,6 +103,20 @@ def test_fixed_target_pays_for_mismatch(unit_model, grid8):
     assert wall_in - wall_out - removed == pytest.approx(deficit, abs=1e-10)
 
 
+def test_fine_grid_step_certifies(unit_model):
+    """128 cells, twice the old size cap: the step still certifies."""
+    grid = build_grid(0.0, 1.0, 128)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid.cell_centers)) * grid.cell_width
+    sol = solve_jko_step(unit_model, grid, 0.05, mu)
+    n = grid.n_cells
+    assert sol.converged
+    assert sol.residuals["polish_gap"] <= 1e-8
+    assert np.max(np.abs(sol.gamma[:n].sum(axis=1) - mu)) <= 1e-10
+    cols = sol.gamma[:, :n].sum(axis=0)
+    assert np.max(np.abs(cols - (sol.rho + 0.05 * sol.h) * grid.cell_width)) <= 1e-10
+    assert sol.gamma[n:, n:].sum() == 0.0
+
+
 def test_warm_start_reproduces_cold_solution(unit_model, grid16):
     rho0 = 1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)
     mu = rho0 * grid16.cell_width
@@ -121,6 +126,8 @@ def test_warm_start_reproduces_cold_solution(unit_model, grid16):
     assert warm.converged
     assert np.max(np.abs(warm.rho - cold.rho)) < 1e-9
     assert warm.objective == pytest.approx(cold.objective, abs=1e-11)
+    with pytest.raises(ValueError, match="init_phi_star"):
+        solve_jko_step(unit_model, grid16, 0.05, mu, SolverOptions(init_phi_star=np.zeros(3)))
 
 
 def test_objective_matches_fixed_target_at_optimum(drifty_model, grid8):
