@@ -81,7 +81,7 @@ def _cmd_solve(args) -> int:
     io.write_trajectory_csv(path, traj, model)
 
     check = flow.barrier_check(traj)
-    worst = {"polish_gap": 0.0, "kkt_kappa": 0.0, "concavity_gap": 0.0}
+    worst = {"polish_gap": 0.0, "kkt_kappa": 0.0, "concavity_gap": 0.0, "support_slack": 0.0}
     for sol in traj.solutions[1:]:
         for key in worst:
             worst[key] = max(worst[key], abs(sol.residuals.get(key, 0.0)))

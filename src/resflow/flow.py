@@ -102,10 +102,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def snapshots(self):
-        for k in range(len(self.times)):
-            yield k, Density.from_density(self.densities[k], self.grid), self.solutions[k]
-
 
 def _drift_weight_range(model: Model, grid: Grid) -> tuple[np.ndarray, float, float]:
     """exp(-drift) on the cells plus its extremes over the closed interval.

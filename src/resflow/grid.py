@@ -1,4 +1,4 @@
-"""Cell-centered mesh on an interval and boundary projection helpers.
+"""Cell-centered mesh on an interval.
 
 The domain is an open interval (x_lo, x_hi) discretized into equal cells.
 Interior unknowns live at cell centers; the two endpoints act as reservoir
@@ -6,23 +6,11 @@ nodes that can absorb or emit mass at a potential-dependent price.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-__all__ = [
-    "Grid",
-    "ProjectionResult",
-    "ProjectionGapReport",
-    "build_grid",
-    "nearest_boundary_projection",
-    "weighted_boundary_projection",
-    "projection_gap_check",
-]
+__all__ = ["Grid", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -41,30 +29,8 @@ class Grid:
     boundary_nodes: np.ndarray
 
     @property
-    def interior_ball_radius(self) -> float:
-        """Radius of the largest ball centered at the midpoint inside the domain."""
-        return 0.5 * (self.x_hi - self.x_lo)
-
-    @property
     def length(self) -> float:
         return self.x_hi - self.x_lo
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """A boundary point together with the score it minimizes."""
-
-    point: float
-    value: float
-
-
-@dataclass(frozen=True)
-class ProjectionGapReport:
-    """Worst observed disagreement between plain and potential-weighted projections."""
-
-    bound: float
-    worst_gap: float
-    ok: bool
 
 
 def build_grid(x_lo: float, x_hi: float, n_cells: int) -> Grid:
@@ -89,89 +55,3 @@ def build_grid(x_lo: float, x_hi: float, n_cells: int) -> Grid:
         cell_centers=centers,
         boundary_nodes=np.array([x_lo, x_hi]),
     )
-
-
-def nearest_boundary_projection(grid: Grid, x: float) -> ProjectionResult:
-    """Closest endpoint to x, with the squared half-distance as its value.
-
-    Ties (x exactly at the midpoint) resolve to the lower endpoint.
-    """
-    x = float(x)
-    d_lo = abs(x - grid.x_lo)
-    d_hi = abs(x - grid.x_hi)
-    if d_lo <= d_hi:
-        return ProjectionResult(point=grid.x_lo, value=0.5 * d_lo * d_lo)
-    return ProjectionResult(point=grid.x_hi, value=0.5 * d_hi * d_hi)
-
-
-def weighted_boundary_projection(
-    grid: Grid,
-    x: float,
-    reservoir_potential: Callable[[float], float],
-    tau: float,
-    *,
-    sign: int = 1,
-) -> ProjectionResult:
-    """Endpoint minimizing |x-b|^2/(2 tau) + sign * potential(b).
-
-    sign=+1 scores mass leaving through b (the reservoir charges its
-    potential), sign=-1 scores mass entering from b. Ties resolve to the
-    lower endpoint, matching nearest_boundary_projection.
-    """
-    x = float(x)
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    best_point = grid.x_lo
-    best_value = np.inf
-    for b in (grid.x_lo, grid.x_hi):
-        value = (x - b) ** 2 / (2.0 * tau) + sign * float(reservoir_potential(b))
-        if value < best_value:
-            best_point = b
-            best_value = value
-    return ProjectionResult(point=best_point, value=best_value)
-
-
-def projection_gap_check(
-    grid: Grid,
-    reservoir_potential: Callable[[float], float],
-    tau: float,
-    *,
-    n_samples: int = 64,
-) -> ProjectionGapReport:
-    """Verify that weighting by the potential moves near-boundary projections
-    at most 4 * tau * Lip(potential).
-
-    Samples points whose boundary distance is below half the interior ball
-    radius and compares the plain and weighted projection points for both
-    crossing directions. The Lipschitz constant is taken from the endpoint
-    values, which is exact for the affine potentials used in practice.
-    """
-    tau = float(tau)
-    lip = abs(
-        float(reservoir_potential(grid.x_hi)) - float(reservoir_potential(grid.x_lo))
-    ) / grid.length
-    bound = 4.0 * tau * lip
-    cutoff = 0.5 * grid.interior_ball_radius
-    offsets = np.linspace(0.0, cutoff, n_samples, endpoint=False)
-    worst = 0.0
-    for off in offsets:
-        for x in (grid.x_lo + off, grid.x_hi - off):
-            plain = nearest_boundary_projection(grid, x)
-            for sign in (1, -1):
-                weighted = weighted_boundary_projection(
-                    grid, x, reservoir_potential, tau, sign=sign
-                )
-                worst = max(worst, abs(weighted.point - plain.point))
-    ok = worst <= bound + 1e-12
-    if not ok:
-        logger.warning(
-            "projection gap %.6g exceeds bound %.6g (tau=%.3g, lip=%.3g)",
-            worst,
-            bound,
-            tau,
-            lip,
-        )
-    return ProjectionGapReport(bound=bound, worst_gap=worst, ok=ok)

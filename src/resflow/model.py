@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .reactions import Coefficient, ReactionLaw, as_coefficient
 
@@ -239,9 +239,9 @@ class Model:
         """Convex cost of running the reaction channel at rate z.
 
         Rates below the floor return +inf; the floor itself gets the finite
-        limiting value. Registered laws evaluate in closed form (the
+        limiting value. The registered laws evaluate in closed form (the
         signed-power family through Gauss hypergeometric antiderivatives);
-        other laws fall back to adaptive quadrature of the slope.
+        any other label raises ValueError.
         """
         z = np.asarray(z, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -257,7 +257,7 @@ class Model:
         elif label == "signed-power":
             out = self._cost_signed_power(z_clip, x_b)
         else:
-            out = self._cost_quadrature(z_clip, x_b)
+            raise ValueError(f"unregistered reaction law {label!r} has no closed-form cost")
         out = np.where(below, np.inf, out)
         if out.ndim == 0:
             return out[()]
@@ -315,21 +315,6 @@ class Model:
             - _hyp_plus_integral(u0, alpha)
             + v * (u1 - u0)
         )
-
-    def _cost_quadrature(self, z, x) -> np.ndarray:
-        out = np.empty(np.shape(z), dtype=float)
-        it = np.nditer([np.asarray(z), np.asarray(x)], flags=["multi_index"])
-        for z_i, x_i in it:
-            val, _ = integrate.quad(
-                lambda s: float(self.cost_slope(s, float(x_i))),
-                0.0,
-                float(z_i),
-                epsabs=1e-12,
-                epsrel=1e-10,
-                limit=200,
-            )
-            out[it.multi_index] = val
-        return out
 
     def cost_conjugate(self, p, x) -> np.ndarray:
         """Legendre transform of the cost: p * rate_at_price(p) - cost(...)."""

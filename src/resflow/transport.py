@@ -17,10 +17,15 @@ re-solved with breakpoint windows that shrink around its optimum; the first
 windows are centred on the masses required at a seed price (the zero-rate
 price on a cold step, the previous step's prices on a warm one). The
 identified support is snapped to machine precision by the reduced
-optimality system, the duals are made exactly feasible by a double
-c-transform, and the verified primal-dual gap certifies the step. The
-creation field and (for implicit steps) the density are defined through the
-dual prices, so the marginal-cost identities hold by construction.
+optimality system: duals are read off a breadth-first spanning forest of the
+support graph, as in network simplex, and arc masses off an NNLS fit of the
+same incidence matrix the LP uses. The duals are then made exactly feasible
+by a double c-transform, and the verified primal-dual gap certifies the
+step. Every inversion of the monotone column-mass law (breakpoint costs,
+prices of the refined masses, the balance gauge of unpinned support
+components) goes through one vectorized bisection. The creation field and
+(for implicit steps) the density are defined through the dual prices, so
+the marginal-cost identities hold by construction.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from typing import Any
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.optimize import linprog, nnls
 
 from .grid import Grid
@@ -188,171 +194,133 @@ class _Kernel:
         self.v = np.asarray(model.drift(x), dtype=float)
         self.total_mass = float(np.sum(mu))
 
-    def col_target(self, t: np.ndarray) -> np.ndarray:
-        """Required column mass when the column potential equals t."""
-        h = self.model.rate_at_price(-t, self.x)
-        if self.jko:
-            rho = np.exp(np.clip(-t - self.v, -_EXP_CAP, _EXP_CAP))
-        else:
-            rho = self.rho_target
-        return (rho + self.tau * h) * self.dx
+    def rho_at(self, t: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Density held by the listed columns when their potential equals t."""
+        if not self.jko:
+            return self.rho_target[cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(np.clip(-t - self.v[cols], -_EXP_CAP, _EXP_CAP))
+
+    def col_target(self, t: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Required mass of the listed columns when their potential equals t."""
+        h = self.model.rate_at_price(-t, self.x[cols])
+        return (self.rho_at(t, cols) + self.tau * h) * self.dx
 
 
-def _components_on_support(n: int, support: np.ndarray):
-    """Connected components of the interior bipartite support graph.
+def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
+    """Root t of f(t) = m, entry by entry, for f strictly decreasing in each entry.
 
-    Nodes are rows 0..n-1 and cols n..2n-1; wall arcs do not join components
-    (walls have no constraint) but are reported per component so the caller
-    can pin its gauge. Yields (rows, cols, wall_pin) with wall_pin either
-    None or a ("row"|"col", interior index, wall index) tight wall arc.
+    Brackets grow geometrically from 0 on both sides, then bisection stops
+    an entry once its residual is negligible against total_mass or its
+    bracket has closed to rounding.
     """
-    comp = np.full(2 * n, -1)
-    adj_rows = [np.nonzero(support[i, :n])[0] for i in range(n)]
-    adj_cols = [np.nonzero(support[:n, j])[0] for j in range(n)]
-    out = []
-    for seed in range(2 * n):
-        if comp[seed] != -1:
-            continue
-        comp[seed] = len(out)
-        stack = [seed]
-        rows, cols = [], []
-        while stack:
-            node = stack.pop()
-            if node < n:
-                rows.append(node)
-                for j in adj_rows[node]:
-                    if comp[n + j] == -1:
-                        comp[n + j] = comp[seed]
-                        stack.append(n + j)
-            else:
-                cols.append(node - n)
-                for i in adj_cols[node - n]:
-                    if comp[i] == -1:
-                        comp[i] = comp[seed]
-                        stack.append(i)
-        wall_pin = None
-        for i in rows:
-            for b in (0, 1):
-                if support[i, n + b]:
-                    wall_pin = ("row", i, b)
-                    break
-            if wall_pin:
+    def resid(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(t) - m
+
+    lo = np.zeros(len(m))
+    hi = lo.copy()
+    # grow lo down until f(lo) > m, and hi up until f(hi) < m
+    for end, sign in ((lo, -1.0), (hi, 1.0)):
+        step = np.full_like(end, 0.5)
+        for _ in range(200):
+            grow = ~(sign * resid(end) < 0.0)
+            if not np.any(grow):
                 break
-        if wall_pin is None:
-            for j in cols:
-                for b in (0, 1):
-                    if support[n + b, j]:
-                        wall_pin = ("col", j, b)
-                        break
-                if wall_pin:
-                    break
-        out.append((rows, cols, wall_pin))
-    return out
+            end[grow] += sign * step[grow]
+            step[grow] *= 2.0
+    scale = max(total_mass, 1e-300)
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        fv = resid(t)
+        done = (np.abs(fv) <= 1e-14 * scale) | (hi - lo <= 1e-16 * (1.0 + np.abs(t)))
+        if np.all(done):
+            break
+        neg = fv < 0.0    # f(t) too small: t too high
+        hi = np.where(neg, t, hi)
+        lo = np.where(neg, lo, t)
+        t = np.where(done, t, 0.5 * (lo + hi))
+    return t
+
+
+def _incidence(n: int, idx_r: np.ndarray, idx_c: np.ndarray) -> sparse.csr_matrix:
+    """Marginal constraints met by arcs (idx_r[k], idx_c[k]).
+
+    Rows 0..n-1 are the source balances of the interior rows, rows n..2n-1
+    the target balances of the interior columns; wall ends carry no
+    constraint.
+    """
+    arcs = np.arange(len(idx_r))
+    at_row = idx_r < n
+    at_col = idx_c < n
+    rows = np.concatenate([idx_r[at_row], n + idx_c[at_col]])
+    cols = np.concatenate([arcs[at_row], arcs[at_col]])
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * n, len(idx_r)))
 
 
 def _potentials_on_support(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
     """Exact duals consistent with tightness on the active arcs.
 
-    Tight arcs fix the duals inside each component up to one constant. A
-    tight wall arc pins it outright; otherwise the constant solves the
-    component's scalar mass balance (total required column mass equals total
-    source mass), a strictly monotone equation handled by safeguarded
-    Newton. This balance gauge is what holds at kink optima, where wall
-    subgradient jumps would make any arc-based pinning oscillate.
+    The interior arcs form a bipartite graph on rows 0..n-1 and columns
+    n..2n-1 (wall arcs join nothing: walls carry no constraint). Each
+    connected component is walked breadth-first from its lowest-index node,
+    whose potential is zero, and every other node takes its potential from
+    its BFS parent through the tight arc phi_i + ps_j = q_ij. That fixes a
+    component's duals up to one constant. A tight wall arc pins it outright:
+    the lowest-index row with one, lower wall first, else the lowest-index
+    column with one. Otherwise the constant solves the component's scalar
+    mass balance (total required column mass equals total source mass), a
+    monotone equation solved for all such components by one bisection. This
+    balance gauge is what holds at kink optima, where wall subgradient jumps
+    would make any arc-based pinning oscillate.
     """
     n = cost.n_cells
     q = cost.quad
     psi = kern.psi
-    phi = np.zeros(n)
-    ps = np.zeros(n)
-    known_phi = np.zeros(n, dtype=bool)
-    known_ps = np.zeros(n, dtype=bool)
+    r, c = np.nonzero(support[:n, :n])
+    graph = sparse.csr_matrix((np.ones(2 * len(r)), (np.r_[r, n + c], np.r_[n + c, r])),
+                              shape=(2 * n, 2 * n))
+    n_comp, label = csgraph.connected_components(graph, directed=False)
 
-    for rows, cols, wall_pin in _components_on_support(n, support):
-        # propagate tightness from the first member
-        if rows:
-            phi[rows[0]] = 0.0
-            known_phi[rows[0]] = True
-        else:
-            ps[cols[0]] = 0.0
-            known_ps[cols[0]] = True
-        for _ in range(len(rows) + len(cols)):
-            changed = False
-            for i in rows:
-                if known_phi[i]:
-                    js = np.nonzero(support[i, :n])[0]
-                    for j in js:
-                        if not known_ps[j]:
-                            ps[j] = q[i, j] - phi[i]
-                            known_ps[j] = True
-                            changed = True
-            for j in cols:
-                if known_ps[j]:
-                    is_ = np.nonzero(support[:n, j])[0]
-                    for i in is_:
-                        if not known_phi[i]:
-                            phi[i] = q[i, j] - ps[j]
-                            known_phi[i] = True
-                            changed = True
-            if not changed:
-                break
-        if wall_pin is not None:
-            kind, k, b = wall_pin
-            if kind == "row":
-                shift = (q[k, n + b] + psi[b]) - phi[k]
-            else:
-                shift = ps[k] - (q[n + b, k] - psi[b])
-        elif cols:
-            shift = _balance_gauge(kern, np.array(cols, dtype=int), ps,
-                                   float(np.sum(kern.mu[rows])) if rows else 0.0)
-        else:
-            shift = 0.0
-        for i in rows:
-            phi[i] += shift
-        for j in cols:
-            ps[j] -= shift
-    return phi, ps
+    # breadth-first spanning forest: parents precede children
+    nodes, parents = [], []
+    for root in np.unique(label, return_index=True)[1]:
+        order, pred = csgraph.breadth_first_order(graph, root, return_predecessors=True)
+        nodes.append(order[1:])
+        parents.append(pred[order[1:]])
+    nodes = np.concatenate(nodes)
+    parents = np.concatenate(parents)
+    arc_cost = q[np.minimum(nodes, parents), np.maximum(nodes, parents) - n]
+    pot = np.zeros(2 * n)
+    for node, parent, w in zip(nodes.tolist(), parents.tolist(), arc_cost.tolist()):
+        pot[node] = w - pot[parent]
+    phi, ps = pot[:n], pot[n:]
 
+    # wall pins, lowest-index node first; a row pin outranks a column pin
+    shift = np.zeros(n_comp)
+    pinned = np.zeros(n_comp, dtype=bool)
+    col_wall = support[n:, :n].T
+    j = np.flatnonzero(col_wall.any(axis=1))
+    b = np.argmax(col_wall[j], axis=1)
+    comps, first = np.unique(label[n + j], return_index=True)
+    shift[comps] = (ps[j] - (q[n + b, j] - psi[b]))[first]
+    pinned[comps] = True
+    row_wall = support[:n, n:]
+    i = np.flatnonzero(row_wall.any(axis=1))
+    b = np.argmax(row_wall[i], axis=1)
+    comps, first = np.unique(label[i], return_index=True)
+    shift[comps] = ((q[i, n + b] + psi[b]) - phi[i])[first]
+    pinned[comps] = True
 
-def _balance_gauge(kern: _Kernel, cols: np.ndarray, ps: np.ndarray, row_mass: float) -> float:
-    """Shift delta with sum_j required-mass(ps_j - delta) = row_mass."""
-    base = ps[cols]
-    x_sub = kern.x[cols]
-
-    def total(delta):
-        t = base - delta
-        h = kern.model.rate_at_price(-t, x_sub)
-        if kern.jko:
-            rho = np.exp(np.clip(-t - kern.v[cols], -_EXP_CAP, _EXP_CAP))
-        else:
-            rho = kern.rho_target[cols]
-        return float(np.sum((rho + kern.tau * h) * kern.dx))
-
-    # total is increasing in delta; bracket then bisect/newton
-    lo = hi = 0.0
-    step = 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(200):
-            if total(lo) < row_mass:
-                break
-            lo -= step
-            step *= 2.0
-        step = 0.5
-        for _ in range(200):
-            if total(hi) > row_mass:
-                break
-            hi += step
-            step *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            diff = total(mid) - row_mass
-            if abs(diff) <= 1e-14 * max(kern.total_mass, 1e-300) or hi - lo < 1e-16 * (1.0 + abs(mid)):
-                return mid
-            if diff > 0.0:
-                hi = mid
-            else:
-                lo = mid
-    return 0.5 * (lo + hi)
+    # balance gauge for the unpinned components that hold columns
+    cols = np.flatnonzero(~pinned[label[n:]])
+    if len(cols):
+        free, slot = np.unique(label[n + cols], return_inverse=True)
+        row_mass = np.bincount(label[:n], weights=kern.mu, minlength=n_comp)[free]
+        shift[free] = -_decreasing_root(
+            lambda s: np.bincount(slot, weights=kern.col_target(ps[cols] + s[slot], cols)),
+            row_mass, kern.total_mass)
+    return phi + shift[label[:n]], ps - shift[label[n:]]
 
 
 def _arc_masses(kern: _Kernel, support: np.ndarray, col_mass: np.ndarray):
@@ -364,16 +332,10 @@ def _arc_masses(kern: _Kernel, support: np.ndarray, col_mass: np.ndarray):
     """
     n = len(kern.mu)
     idx_r, idx_c = np.nonzero(support)
-    a = np.zeros((2 * n, len(idx_r)))
-    for k, (i, j) in enumerate(zip(idx_r, idx_c)):
-        if i < n:
-            a[i, k] = 1.0
-        if j < n:
-            a[n + j, k] = 1.0
     b = np.concatenate([kern.mu, col_mass])
     if len(idx_r) == 0:
         return np.zeros((n + 2, n + 2)), float(np.linalg.norm(b))
-    sol, resid = nnls(a, b)
+    sol, resid = nnls(_incidence(n, idx_r, idx_c).toarray(), b)
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = sol
     return gamma, float(resid)
@@ -401,60 +363,7 @@ def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
         if not np.any(dead):
             break
         support &= ~dead
-    return phi, ps, gamma, resid, support
-
-
-def _price_of_mass(kern: _Kernel, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Column potential t with required-mass(t) = m, per listed column.
-
-    The required mass is strictly decreasing in t, so the root is unique;
-    m = 0 returns the finite zero-mass price. Vectorized bracket growth
-    plus bisection.
-    """
-    model = kern.model
-    x = kern.x[cols]
-    v = kern.v[cols]
-    rho_fixed = None if kern.jko else kern.rho_target[cols]
-
-    def target(t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = model.rate_at_price(-t, x)
-            rho = np.exp(np.clip(-t - v, -_EXP_CAP, _EXP_CAP)) if kern.jko else rho_fixed
-            return (rho + kern.tau * h) * kern.dx
-
-    t = np.zeros(len(cols))
-    lo = t.copy()
-    hi = t.copy()
-    flo = target(lo) - m
-    step = np.full_like(t, 0.5)
-    for _ in range(200):
-        mask = ~(flo > 0.0)   # need target(lo) > m on the low side
-        if not np.any(mask):
-            break
-        lo[mask] -= step[mask]
-        step[mask] *= 2.0
-        flo = target(lo) - m
-    fhi = target(hi) - m
-    step = np.full_like(t, 0.5)
-    for _ in range(200):
-        mask = ~(fhi < 0.0)
-        if not np.any(mask):
-            break
-        hi[mask] += step[mask]
-        step[mask] *= 2.0
-        fhi = target(hi) - m
-    scale = max(kern.total_mass, 1e-300)
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        fv = target(t) - m
-        done = (np.abs(fv) <= 1e-14 * scale) | (hi - lo <= 1e-16 * (1.0 + np.abs(t)))
-        if np.all(done):
-            break
-        neg = fv < 0.0    # target too small: price too high
-        hi = np.where(neg, t, hi)
-        lo = np.where(neg, lo, t)
-        t = np.where(done, t, 0.5 * (lo + hi))
-    return t
+    return phi, ps, gamma, resid
 
 
 def _xi_table(kern: _Kernel, breaks: np.ndarray) -> np.ndarray:
@@ -470,9 +379,8 @@ def _xi_table(kern: _Kernel, breaks: np.ndarray) -> np.ndarray:
     flat = breaks.reshape(-1)
     if kern.jko:
         cols = np.repeat(np.arange(n), b)
-        t = _price_of_mass(kern, flat, cols)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho = np.exp(np.clip(-t - np.repeat(kern.v, b), -_EXP_CAP, _EXP_CAP))
+        t = _decreasing_root(lambda p: kern.col_target(p, cols), flat, kern.total_mass)
+        rho = kern.rho_at(t, cols)
         # the price form of the rate cannot dip below the floor by rounding,
         # unlike the mass-balance form
         h = kern.model.rate_at_price(-t, x_t)
@@ -491,9 +399,7 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
 
     Variables are the admissible arcs plus, per column, the segment fills of
     the linearized cost; column balance ties arc inflow to the base mass
-    plus the fills. Returns the plan part, the optimal column masses and the
-    LP objective (a global bound up to linearization error, since chords of
-    a convex function lie above it).
+    plus the fills. Returns the plan part and the optimal column masses.
     """
     n = cost.n_cells
     allowed = ~cost.forbidden
@@ -505,26 +411,13 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     slopes = np.diff(xi, axis=1) / widths
 
     c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
-    rows, cols_ix, vals = [], [], []
-    for a, (i, j) in enumerate(zip(idx_r, idx_c)):
-        if i < n:
-            rows.append(i)
-            cols_ix.append(a)
-            vals.append(1.0)
-        if j < n:
-            rows.append(n + j)
-            cols_ix.append(a)
-            vals.append(1.0)
-    for j in range(n):
-        for s in range(k):
-            rows.append(n + j)
-            cols_ix.append(n_arcs + j * k + s)
-            vals.append(-1.0)
-    a_eq = sparse.csr_matrix((vals, (rows, cols_ix)), shape=(2 * n, n_arcs + n * k))
+    fills = sparse.vstack([sparse.csr_matrix((n, n * k)),
+                           sparse.kron(sparse.eye(n), -np.ones((1, k)))])
+    a_eq = sparse.hstack([_incidence(n, idx_r, idx_c), fills], format="csr")
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
-    bounds = [(0, None)] * n_arcs + [
-        (0, widths[j, s]) for j in range(n) for s in range(k)
-    ]
+    bounds = np.zeros((n_arcs + n * k, 2))
+    bounds[:n_arcs, 1] = np.inf
+    bounds[n_arcs:, 1] = widths.reshape(-1)
     res = linprog(
         c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
         options={
@@ -536,10 +429,8 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         raise RuntimeError(f"joint refinement LP failed: {res.message}")
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
-    fills = res.x[n_arcs:].reshape(n, k)
-    m_star = breaks[:, 0] + fills.sum(axis=1)
-    value = float(res.fun) + float(np.sum(xi[:, 0]))
-    return gamma, m_star, value
+    m_star = breaks[:, 0] + res.x[n_arcs:].reshape(n, k).sum(axis=1)
+    return gamma, m_star
 
 
 def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
@@ -572,7 +463,7 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     for rnd in range(40):
         breaks = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
         xi = _xi_table(kern, breaks)
-        gamma_joint, m_star, _ = _joint_lp(kern, cost, breaks, xi)
+        gamma_joint, m_star = _joint_lp(kern, cost, breaks, xi)
         seg = (hi - lo) / k
         at_lo = (m_star <= lo + 0.5 * seg) & (lo > m_min + 1e-300)
         at_hi = m_star >= hi - 0.5 * seg
@@ -635,9 +526,8 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     m_star = np.maximum(m_star, m_min)
     rate_floor = np.nextafter(model.rate_floor(x), np.inf)
     if kern.jko:
-        ps_m = _price_of_mass(kern, m_star, np.arange(n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_m = np.exp(np.clip(-ps_m - kern.v, -_EXP_CAP, _EXP_CAP))
+        ps_m = _decreasing_root(kern.col_target, m_star, kern.total_mass)
+        rho_m = kern.rho_at(ps_m)
         h_m = np.maximum((m_star / dx - rho_m) / tau, rate_floor)
     else:
         rho_m = kern.rho_target
@@ -655,15 +545,11 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     support[:n, n:] |= (q[:n, n:] + psi[None, :] - phi_m[:, None]) <= tight_tol
     support[n:, :n] |= (q[n:, :n] - psi[:, None] - ps_m[None, :]) <= tight_tol
 
-    phi_r, ps_r, gamma_r, resid, _ = _reduced_solve(kern, cost, support)
+    phi_r, ps_r, gamma_r, resid = _reduced_solve(kern, cost, support)
     if resid <= 1e-10 * mass_scale:
         gamma, phi_out, ps_out = gamma_r, phi_r, ps_r
         h = model.rate_at_price(-ps_r, x)
-        if kern.jko:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rho = np.exp(np.clip(-ps_r - kern.v, -_EXP_CAP, _EXP_CAP))
-        else:
-            rho = kern.rho_target
+        rho = kern.rho_at(ps_r)
     else:
         gamma, phi_out, ps_out, h, rho = gamma_joint, phi_m, ps_m, h_m, rho_m
     value = full_value(h, rho, float(np.sum(gamma[allowed] * cost.tilde[allowed])))

@@ -39,6 +39,7 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert "trajectory run" in report
     assert "barriers" in report
     assert (out / "report.txt").read_text() == report
+    assert "support_slack" in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

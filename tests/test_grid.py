@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resflow.grid import (
-    build_grid,
-    nearest_boundary_projection,
-    projection_gap_check,
-    weighted_boundary_projection,
-)
+from resflow.grid import build_grid
 
 
 def test_centers_and_width():
@@ -38,43 +33,3 @@ def test_centers_stay_interior_and_equispaced(lo, span, n):
 def test_degenerate_inputs_rejected(lo, hi, n):
     with pytest.raises(ValueError):
         build_grid(lo, hi, n)
-
-
-def test_nearest_projection_picks_closer_wall():
-    g = build_grid(0.0, 1.0, 4)
-    res = nearest_boundary_projection(g, 0.2)
-    assert res.point == 0.0
-    assert res.value == pytest.approx(0.5 * 0.2**2)
-    assert nearest_boundary_projection(g, 0.9).point == 1.0
-    # ties break to the lower wall
-    assert nearest_boundary_projection(g, 0.5).point == 0.0
-
-
-def test_weighted_projection_prefers_cheap_reservoir():
-    g = build_grid(0.0, 1.0, 4)
-    # a strongly charged upper wall repels outgoing mass even from nearby
-    pot = lambda b: 5.0 if b == 1.0 else 0.0
-    res = weighted_boundary_projection(g, 0.9, pot, tau=0.5, sign=1)
-    assert res.point == 0.0
-    # incoming mass is credited the potential, reversing the preference
-    res = weighted_boundary_projection(g, 0.5, pot, tau=0.5, sign=-1)
-    assert res.point == 1.0
-
-
-def test_weighted_projection_validates_arguments():
-    g = build_grid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        weighted_boundary_projection(g, 0.5, lambda b: 0.0, tau=-1.0)
-    with pytest.raises(ValueError):
-        weighted_boundary_projection(g, 0.5, lambda b: 0.0, tau=0.1, sign=2)
-
-
-def test_projection_gap_shrinks_with_tau():
-    g = build_grid(0.0, 1.0, 8)
-    pot = lambda b: 0.3 * b
-    for tau in (0.2, 0.05, 0.01):
-        report = projection_gap_check(g, pot, tau)
-        assert report.ok, (tau, report)
-    # with a flat potential the projections agree exactly
-    flat = projection_gap_check(g, lambda b: 1.0, 0.1)
-    assert flat.worst_gap == 0.0

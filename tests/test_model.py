@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,13 @@ def test_creation_cost_closed_form_log_rate():
     x = np.array([0.25])
     for z in (-2.0, -0.4, 0.0, 1.3):
         assert model.cost(z, x) == pytest.approx(z * z / 2.0, abs=1e-12)
+
+
+def test_cost_rejects_unregistered_law():
+    law = dataclasses.replace(make_reaction("power", w=1.0, beta=0.0, q=1.0), label="custom")
+    model = build_model(0.0, 1.0, law, run_audit=False)
+    with pytest.raises(ValueError, match="custom"):
+        model.cost(np.array([0.3]), np.array([0.5]))
 
 
 def test_cost_vanishes_at_zero(drifty_model, signed_model):

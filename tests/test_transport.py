@@ -178,6 +178,9 @@ def test_random_instances_satisfy_certificates(n, tau, seed, jko):
         sol = solve_fixed_target(model, grid, tau, mu, rng.uniform(0.3, 2.0, n))
     assert sol.converged
     assert sol.residuals["polish_gap"] <= 1e-8
+    # the support potentials are tight on the plan and feasible everywhere
+    assert sol.residuals["support_slack"] <= 1e-9
+    assert sol.residuals["concavity_gap"] <= 1e-9
     assert np.max(np.abs(sol.gamma[:n].sum(axis=1) - mu)) <= 1e-10 * max(1.0, mu.sum())
     assert np.all(sol.gamma >= 0.0)
     assert sol.gamma[n:, n:].sum() == 0.0
