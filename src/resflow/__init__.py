@@ -56,6 +56,7 @@ from .transport import (
     CostMatrix,
     Density,
     SolverOptions,
+    StepFailure,
     TransportSolution,
     build_cost_matrix,
     solve_fixed_target,
@@ -83,6 +84,7 @@ __all__ = [
     "ReactionLaw",
     "RefinementStudy",
     "SolverOptions",
+    "StepFailure",
     "Trajectory",
     "TrajectoryTable",
     "TransportSolution",

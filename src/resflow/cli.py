@@ -5,8 +5,9 @@ refinement study), oracle (reference finite-difference solve), compare
 (trajectory vs reference distance), audit (model assumption checks), verify
 (invariant battery on small grids, including brute-force equivalence).
 
-Exit codes: 0 success, 2 configuration problem, 3 solver failure,
-4 verification failure, 1 unexpected error.
+Exit codes: 0 success; 2 configuration problem (ConfigError); 3 solver
+failure (RuntimeError, such as a StepFailure naming the step and the failed
+certificate); 4 verification failure; 1 any other error, a program fault.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import flow, io
 from .config import ConfigError, ExperimentConfig, parse_config
-from .fdref import compare_trajectories, solve_fd
+from .fdref import compare_trajectories, solve_fd, step_count
 from .grid import build_grid
 from .model import build_model
 from .oracle import brute_force_small
@@ -63,9 +64,18 @@ def _reference_dt(t_final: float, target: float) -> float:
     return t_final / max(1, int(math.ceil(t_final / target - 1e-9)))
 
 
+def _check_reference_dt(t_final: float, dt: float, source: str) -> None:
+    """ConfigError unless the reference time step dt, set by source, divides t_final."""
+    try:
+        step_count(t_final, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _fd_reference(cfg: ExperimentConfig, model, grid):
-    fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * 4)
-    dt = _reference_dt(cfg.scheme.t_final, min(cfg.scheme.tau_list) / 8.0)
+    fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * flow.REFERENCE_SPACE_FACTOR)
+    dt = _reference_dt(cfg.scheme.t_final,
+                       min(cfg.scheme.tau_list) / flow.REFERENCE_TIME_FACTOR)
     return solve_fd(model, fine, cfg.initial_density(fine), cfg.scheme.t_final, dt)
 
 
@@ -81,10 +91,8 @@ def _cmd_solve(args) -> int:
     io.write_trajectory_csv(path, traj, model)
 
     check = flow.barrier_check(traj)
-    worst = {"polish_gap": 0.0, "kkt_kappa": 0.0, "concavity_gap": 0.0, "support_slack": 0.0}
-    for sol in traj.solutions[1:]:
-        for key in worst:
-            worst[key] = max(worst[key], abs(sol.residuals.get(key, 0.0)))
+    worst = {key: max(abs(sol.residuals[key]) for sol in traj.solutions[1:])
+             for key in ("polish_gap", "kkt_kappa", "concavity_gap", "support_slack")}
     sections = {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "run": {"steps": traj.n_steps, "tau": traj.tau, "t_final": traj.t_final,
@@ -105,9 +113,12 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if len(cfg.scheme.tau_list) < 3:
         raise ConfigError("sweep needs scheme.tau_list with at least 3 decreasing entries")
+    _check_reference_dt(cfg.scheme.t_final,
+                        cfg.scheme.tau_list[-1] / flow.REFERENCE_TIME_FACTOR,
+                        "scheme.tau_list (reference step of the smallest tau)")
     grid = cfg.build_grid()
     model = cfg.build_model()
-    fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * 4)
+    fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * flow.REFERENCE_SPACE_FACTOR)
     study = flow.tau_refinement_study(
         model, grid, cfg.initial_density(grid), cfg.scheme.t_final,
         cfg.scheme.tau_list, rho0_fine=cfg.initial_density(fine),
@@ -128,8 +139,10 @@ def _cmd_oracle(args) -> int:
     cfg = _load_config(args)
     grid = cfg.build_grid()
     model = cfg.build_model()
-    dt = args.dt if args.dt is not None else _reference_dt(
-        cfg.scheme.t_final, cfg.scheme.tau / 8.0)
+    dt = args.dt
+    if dt is None:
+        dt = _reference_dt(cfg.scheme.t_final, cfg.scheme.tau / flow.REFERENCE_TIME_FACTOR)
+    _check_reference_dt(cfg.scheme.t_final, dt, "--dt")
     sol = solve_fd(model, grid, cfg.initial_density(grid), cfg.scheme.t_final, dt)
     path = _out_path(cfg, "reference.csv")
     io.write_field_csv(path, sol, model)
@@ -227,8 +240,8 @@ def _verify_battery():
     yield "row marginals", row_err <= 1e-10, row_err
     yield "column marginals", col_err <= 1e-10, col_err
     yield "no wall-to-wall mass", wall_wall == 0.0, wall_wall
-    yield "step converged", sol.converged, sol.residuals.get("polish_gap", math.inf)
-    kkt = sol.residuals.get("kkt_kappa", math.inf)
+    yield "step converged", sol.converged, sol.residuals["polish_gap"]
+    kkt = sol.residuals["kkt_kappa"]
     yield "price identity", kkt <= 1e-6, kkt
 
     # stationary fixed point of the full scheme
@@ -291,16 +304,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except ValueError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
     except VerificationFailure as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFY
     except RuntimeError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"unexpected error: {exc!r}\n")
         return EXIT_UNEXPECTED
 

@@ -163,9 +163,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a configuration document.
 
     Every key must be known, every value well-typed, and the cross-field
-    constraints (positive widths and steps, decreasing tau_list, reaction
-    parameter positivity via the model audit) must hold; violations raise
-    ConfigError naming the line.
+    constraints (positive widths and steps, decreasing tau_list, and the
+    reaction and model checks of build_model) must hold; violations raise
+    ConfigError, naming the line where one applies.
     """
     entries: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _tokenize(text):
@@ -262,9 +262,10 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(
         domain=domain, model=model, scheme=scheme, initial=initial, output=output,
     )
-    # surface reaction-parameter violations (positivity etc.) at parse time
+    # surface reaction-parameter and model violations (positivity, a rate
+    # floor that admits no equilibrium density) at parse time
     try:
-        make_reaction(cfg.model.reaction, **cfg.model.params)
+        cfg.build_model(run_audit=False)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

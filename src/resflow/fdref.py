@@ -21,7 +21,7 @@ from .model import Model
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["FDSolution", "solve_fd", "weak_residual", "compare_trajectories"]
+__all__ = ["FDSolution", "solve_fd", "step_count", "weak_residual", "compare_trajectories"]
 
 _POSITIVITY_FLOOR = 1e-12
 _NEWTON_TOL = 1e-10
@@ -160,6 +160,16 @@ def _advance(
     return u_new, max(it1, it2), max(d1, d2)
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Steps of size dt that reach t_final; ValueError unless dt divides it."""
+    if dt <= 0.0 or t_final <= 0.0:
+        raise ValueError(f"need positive dt and t_final, got {dt!r}, {t_final!r}")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError(f"dt={dt!r} does not divide t_final={t_final!r}")
+    return n_steps
+
+
 def solve_fd(
     model: Model,
     grid: Grid,
@@ -184,11 +194,7 @@ def solve_fd(
         raise ValueError("initial density must be strictly positive")
     dt = float(dt)
     t_final = float(t_final)
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError(f"need positive dt and t_final, got {dt!r}, {t_final!r}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"dt={dt!r} does not divide t_final={t_final!r}")
+    n_steps = step_count(t_final, dt)
 
     op = _FluxOperator(grid, model)
     x = grid.cell_centers

@@ -23,6 +23,7 @@ from .model import Model
 from .transport import (
     Density,
     SolverOptions,
+    StepFailure,
     TransportSolution,
     solve_fixed_target,
     solve_jko_step,
@@ -44,6 +45,11 @@ __all__ = [
     "weak_window_budget",
     "tau_refinement_study",
 ]
+
+# the finite-difference reference of a refinement study is this many times
+# finer in space than the scheme's grid, and in time than its smallest step
+REFERENCE_SPACE_FACTOR = 4
+REFERENCE_TIME_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,17 @@ def calibrate_barriers(model: Model, grid: Grid, rho0: np.ndarray, tau: float) -
     )
 
 
+def _certified_step(where: str, solve, *args, **kwargs) -> TransportSolution:
+    """One exact solve that must certify, else StepFailure led by where."""
+    try:
+        sol = solve(*args, **kwargs)
+    except StepFailure as exc:
+        raise StepFailure(exc.certificate, exc.value, f"{where}: {exc.context}") from exc
+    if not sol.converged:
+        raise StepFailure("polish_gap", sol.residuals["polish_gap"], where)
+    return sol
+
+
 def run_minimizing_movement(
     model: Model,
     grid: Grid,
@@ -170,9 +187,9 @@ def run_minimizing_movement(
     """Iterate the implicit transport step from rho0 up to t_final.
 
     The step count is ceil(t_final / tau); every step is warm started from
-    the previous prices and must converge, otherwise the run aborts with the
-    step's residuals in the error. Diagnostics are attached to each step's
-    solution unless switched off.
+    the previous prices and must certify, otherwise the run raises
+    StepFailure naming the step and the failed certificate. Diagnostics are
+    attached to each step's solution unless switched off.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n_cells,):
@@ -205,13 +222,9 @@ def run_minimizing_movement(
     rho = rho0
     warm: np.ndarray | None = None
     for k in range(n_steps):
-        sol = solve_jko_step(model, grid, tau, rho * dx,
-                             options=SolverOptions(init_phi_star=warm))
-        if not sol.converged:
-            raise RuntimeError(
-                f"transport step {k + 1}/{n_steps} did not converge; "
-                f"residuals: {sol.residuals}"
-            )
+        sol = _certified_step(f"transport step {k + 1}/{n_steps}", solve_jko_step,
+                              model, grid, tau, rho * dx,
+                              options=SolverOptions(init_phi_star=warm))
         rho_next = sol.rho
         energies[k + 1] = model.free_energy.total(rho_next, x, dx)
         step_costs[k + 1] = sol.primal_value
@@ -303,19 +316,16 @@ def dissipation_ledger(trajectory: Trajectory, model: Model) -> tuple[LedgerRow,
     self_cost is the computed (not assumed zero) cost of transporting a
     snapshot onto itself. slack is the right side minus the left; a negative
     slack beyond roundoff means a step was not actually minimal. A self
-    transport that fails to certify raises RuntimeError naming the step.
+    transport that fails to certify raises StepFailure naming the step.
     """
     grid = trajectory.grid
     dx = grid.cell_width
     rows = []
     for k in range(trajectory.n_steps):
         rho = trajectory.densities[k]
-        self_sol = solve_fixed_target(model, grid, trajectory.tau, rho * dx, rho)
-        if not self_sol.converged:
-            raise RuntimeError(
-                f"ledger step {k + 1}/{trajectory.n_steps}: self transport did "
-                f"not converge; polish_gap {self_sol.residuals['polish_gap']:.3e}"
-            )
+        self_sol = _certified_step(
+            f"ledger step {k + 1}/{trajectory.n_steps}: self transport",
+            solve_fixed_target, model, grid, trajectory.tau, rho * dx, rho)
         lhs = float(trajectory.energies[k + 1] + trajectory.step_costs[k + 1])
         rhs = float(trajectory.energies[k] + self_sol.primal_value)
         rows.append(LedgerRow(
@@ -390,34 +400,31 @@ def tau_refinement_study(
     t_final: float,
     tau_list: Sequence[float],
     *,
-    reference: FDSolution | None = None,
     rho0_fine: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None,
-    space_factor: int = 4,
-    time_factor: int = 8,
 ) -> RefinementStudy:
     """Errors of trajectories against a fine reference as tau shrinks.
 
     tau_list must be strictly decreasing with at least three entries. The
-    default reference solves the limiting equation on a space_factor-finer
-    grid with time steps time_factor smaller than the smallest tau; pass
-    rho0_fine (callable on positions or explicit fine-cell values) when the
-    initial profile is known analytically, otherwise the coarse cells are
-    replicated. Errors are time-integrated interior distances; the fitted
-    order is the least-squares slope of log error against log tau.
+    reference solves the limiting equation on a grid REFERENCE_SPACE_FACTOR
+    times finer, with time steps REFERENCE_TIME_FACTOR times smaller than
+    the smallest tau; pass rho0_fine (callable on positions or explicit
+    fine-cell values) when the initial profile is known analytically,
+    otherwise the coarse cells are replicated. Errors are time-integrated
+    interior distances; the fitted order is the least-squares slope of log
+    error against log tau.
     """
     taus = [float(t) for t in tau_list]
     if len(taus) < 3 or any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_list must be strictly decreasing with >= 3 entries")
 
-    if reference is None:
-        fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * space_factor)
-        if rho0_fine is None:
-            init = np.repeat(np.asarray(rho0, dtype=float), space_factor)
-        elif callable(rho0_fine):
-            init = np.asarray(rho0_fine(fine.cell_centers), dtype=float)
-        else:
-            init = np.asarray(rho0_fine, dtype=float)
-        reference = solve_fd(model, fine, init, t_final, taus[-1] / time_factor)
+    fine = build_grid(grid.x_lo, grid.x_hi, grid.n_cells * REFERENCE_SPACE_FACTOR)
+    if rho0_fine is None:
+        init = np.repeat(np.asarray(rho0, dtype=float), REFERENCE_SPACE_FACTOR)
+    elif callable(rho0_fine):
+        init = np.asarray(rho0_fine(fine.cell_centers), dtype=float)
+    else:
+        init = np.asarray(rho0_fine, dtype=float)
+    reference = solve_fd(model, fine, init, t_final, taus[-1] / REFERENCE_TIME_FACTOR)
 
     errors = []
     for tau in taus:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .reactions import Coefficient, ReactionLaw, as_coefficient
+from .reactions import Coefficient, ReactionLaw, as_coefficient, coefficient_at
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +34,6 @@ __all__ = [
     "FreeEnergy",
     "Model",
     "build_model",
-    "reservoir_potential_from_boundary",
     "validate_assumptions",
 ]
 
@@ -115,42 +114,6 @@ class FreeEnergy:
         return self.slope_inv(p, x) - 1.0
 
 
-def _affine_callable(coeff: Coefficient) -> Callable[[np.ndarray], np.ndarray]:
-    c0, c1 = coeff
-
-    def evaluate(x):
-        return c0 + c1 * np.asarray(x, dtype=float)
-
-    return evaluate
-
-
-def reservoir_potential_from_boundary(
-    boundary_density: tuple[float, float],
-    drift: Callable[[float], float],
-    x_lo: float,
-    x_hi: float,
-) -> tuple[float, float]:
-    """Endpoint reservoir potentials log(rho) + drift for Dirichlet data.
-
-    Raises ValueError when either boundary density is non-positive, since the
-    reservoir price of such data would be undefined.
-    """
-    lo, hi = float(boundary_density[0]), float(boundary_density[1])
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError(
-            f"boundary densities must be positive, got ({lo!r}, {hi!r})"
-        )
-    return (
-        math.log(lo) + float(drift(x_lo)),
-        math.log(hi) + float(drift(x_hi)),
-    )
-
-
-def _coeff_at(coeff: Coefficient, x) -> np.ndarray:
-    c0, c1 = coeff
-    return c0 + c1 * np.asarray(x, dtype=float)
-
-
 def _hyp_plus_integral(u, alpha) -> np.ndarray:
     """Antiderivative of log(1 + v**(1/alpha)) on [0, u], u >= 0."""
     u = np.asarray(u, dtype=float)
@@ -194,7 +157,7 @@ class Model:
     # -- drift ---------------------------------------------------------
 
     def drift(self, x) -> np.ndarray:
-        return _coeff_at(self.drift_coeff, x)
+        return coefficient_at(self.drift_coeff, x)
 
     def drift_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -265,9 +228,9 @@ class Model:
 
     def _cost_power(self, z, x) -> np.ndarray:
         p = self.reaction.params
-        w = _coeff_at(p["w"], x)
-        beta = _coeff_at(p["beta"], x)
-        q = _coeff_at(p["q"], x)
+        w = coefficient_at(p["w"], x)
+        beta = coefficient_at(p["beta"], x)
+        q = coefficient_at(p["q"], x)
         v = self.drift(x)
         one_b = 1.0 + beta
 
@@ -286,8 +249,8 @@ class Model:
 
     def _cost_log(self, z, x) -> np.ndarray:
         p = self.reaction.params
-        w = _coeff_at(p["w"], x)
-        q = _coeff_at(p["q"], x)
+        w = coefficient_at(p["w"], x)
+        q = coefficient_at(p["q"], x)
         v = self.drift(x)
         l1 = (z + q) / w
         l0 = q / w
@@ -295,9 +258,9 @@ class Model:
 
     def _cost_signed_power(self, z, x) -> np.ndarray:
         p = self.reaction.params
-        w = _coeff_at(p["w"], x)
-        alpha = _coeff_at(p["alpha"], x)
-        q = _coeff_at(p["q"], x)
+        w = coefficient_at(p["w"], x)
+        alpha = coefficient_at(p["alpha"], x)
+        q = coefficient_at(p["q"], x)
         v = self.drift(x)
         u1 = (z + q) / w  # signed offset coordinate of the target density
         u0 = q / w
@@ -338,7 +301,6 @@ def build_model(
     *,
     drift: float | tuple[float, float] | list[float] = 0.0,
     boundary_density: float | tuple[float, float] | list[float] = 1.0,
-    audit_budget: int = 128,
     run_audit: bool = True,
 ) -> Model:
     """Assemble and audit a model on the interval (x_lo, x_hi).
@@ -347,7 +309,8 @@ def build_model(
     a flat potential, a scalar boundary density applies to both endpoints.
     Raises ValueError when no density produces rate zero anywhere on the
     domain (the reaction could then never sit still and the cost calculus
-    would have an empty interior).
+    would have an empty interior), or when a boundary density is not
+    positive (its reservoir price would be undefined).
     """
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -367,19 +330,20 @@ def build_model(
             f"(rate floor {float(np.max(floor))!r}); the model's equilibrium density is undefined"
         )
 
-    drift_fn = _affine_callable(drift_coeff)
-    psi_lo, psi_hi = reservoir_potential_from_boundary(bd, drift_fn, x_lo, x_hi)
+    # endpoint reservoir potentials log(rho) + drift of the Dirichlet data
+    if bd[0] <= 0.0 or bd[1] <= 0.0:
+        raise ValueError(f"boundary densities must be positive, got {bd!r}")
     model = Model(
         x_lo=x_lo,
         x_hi=x_hi,
         reaction=reaction,
         drift_coeff=drift_coeff,
         boundary_density=bd,
-        psi_lo=psi_lo,
-        psi_hi=psi_hi,
+        psi_lo=math.log(bd[0]) + float(coefficient_at(drift_coeff, x_lo)),
+        psi_hi=math.log(bd[1]) + float(coefficient_at(drift_coeff, x_hi)),
     )
     if run_audit:
-        model = model.with_audit(validate_assumptions(model, sample_budget=audit_budget))
+        model = model.with_audit(validate_assumptions(model))
     return model
 
 
@@ -417,19 +381,15 @@ def _slope_escapes(model: Model, x: float, L: float) -> bool:
     return False
 
 
-def validate_assumptions(model: Model, *, sample_budget: int = 128) -> ModelAudit:
+def validate_assumptions(model: Model) -> ModelAudit:
     """Sample the model's structural assumptions and fit its audit constants.
 
-    The checks never abort: a failed assumption is recorded with its worst
-    sample so downstream estimates can refuse to certify rather than crash.
+    Samples lie on 11 positions by 16 log-spaced densities. The checks never
+    abort: a failed assumption is recorded with its worst sample so
+    downstream estimates can refuse to certify rather than crash.
     """
-    if sample_budget < 100:
-        raise ValueError(f"sample_budget must be at least 100, got {sample_budget}")
-
-    n_x = max(8, int(round(math.sqrt(sample_budget))))
-    n_r = max(16, sample_budget // n_x)
-    xs = np.linspace(model.x_lo, model.x_hi, n_x)
-    densities = np.geomspace(1e-6, 1e3, n_r)
+    xs = np.linspace(model.x_lo, model.x_hi, 11)
+    densities = np.geomspace(1e-6, 1e3, 16)
     checks: list[AuditCheck] = []
 
     # Monotonicity of the rate curve on each vertical slice.

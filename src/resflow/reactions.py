@@ -26,6 +26,7 @@ __all__ = [
     "ReactionLaw",
     "REACTION_KINDS",
     "as_coefficient",
+    "coefficient_at",
     "make_reaction",
 ]
 
@@ -44,7 +45,8 @@ def as_coefficient(value: float | tuple[float, float] | list[float]) -> Coeffici
     return (float(value), 0.0)
 
 
-def _coeff_values(coeff: Coefficient, x: np.ndarray | float) -> np.ndarray:
+def coefficient_at(coeff: Coefficient, x: np.ndarray | float) -> np.ndarray:
+    """Value c0 + c1 * x of an affine spatial coefficient at positions x."""
     c0, c1 = coeff
     return c0 + c1 * np.asarray(x, dtype=float)
 
@@ -82,24 +84,24 @@ def _require_positive(name: str, values: np.ndarray) -> None:
 def _make_power(w: Coefficient, beta: Coefficient, q: Coefficient) -> ReactionLaw:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
-        wv, bv, qv = _coeff_values(w, x), _coeff_values(beta, x), _coeff_values(q, x)
+        wv, bv, qv = coefficient_at(w, x), coefficient_at(beta, x), coefficient_at(q, x)
         return wv * np.power(rho, 1.0 + bv) - qv
 
     def rate_derivative(rho, x):
         rho = np.asarray(rho, dtype=float)
-        wv, bv = _coeff_values(w, x), _coeff_values(beta, x)
+        wv, bv = coefficient_at(w, x), coefficient_at(beta, x)
         return wv * (1.0 + bv) * np.power(rho, bv)
 
     def density_at_rate(z, x):
         z = np.asarray(z, dtype=float)
-        wv, bv, qv = _coeff_values(w, x), _coeff_values(beta, x), _coeff_values(q, x)
+        wv, bv, qv = coefficient_at(w, x), coefficient_at(beta, x), coefficient_at(q, x)
         u = (z + qv) / wv
         if np.any(u < 0.0):
             raise ValueError("rate below the reaction floor has no preimage density")
         return np.power(u, 1.0 / (1.0 + bv))
 
     def rate_floor(x):
-        return -_coeff_values(q, x)
+        return -coefficient_at(q, x)
 
     return ReactionLaw(
         label="power",
@@ -114,15 +116,15 @@ def _make_power(w: Coefficient, beta: Coefficient, q: Coefficient) -> ReactionLa
 def _make_log(w: Coefficient, q: Coefficient) -> ReactionLaw:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
-        return _coeff_values(w, x) * np.log(rho) - _coeff_values(q, x)
+        return coefficient_at(w, x) * np.log(rho) - coefficient_at(q, x)
 
     def rate_derivative(rho, x):
         rho = np.asarray(rho, dtype=float)
-        return _coeff_values(w, x) / rho
+        return coefficient_at(w, x) / rho
 
     def density_at_rate(z, x):
         z = np.asarray(z, dtype=float)
-        return np.exp((z + _coeff_values(q, x)) / _coeff_values(w, x))
+        return np.exp((z + coefficient_at(q, x)) / coefficient_at(w, x))
 
     def rate_floor(x):
         return np.full_like(np.asarray(x, dtype=float), -np.inf)
@@ -140,7 +142,7 @@ def _make_log(w: Coefficient, q: Coefficient) -> ReactionLaw:
 def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> ReactionLaw:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
-        wv, av, qv = _coeff_values(w, x), _coeff_values(alpha, x), _coeff_values(q, x)
+        wv, av, qv = coefficient_at(w, x), coefficient_at(alpha, x), coefficient_at(q, x)
         u = rho - 1.0
         return wv * np.sign(u) * np.power(np.abs(u), av) - qv
 
@@ -148,14 +150,14 @@ def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> Re
         # Unbounded at rho = 1 when alpha < 1; callers only evaluate at
         # densities the inverse produced, which stay off the kink.
         rho = np.asarray(rho, dtype=float)
-        wv, av = _coeff_values(w, x), _coeff_values(alpha, x)
+        wv, av = coefficient_at(w, x), coefficient_at(alpha, x)
         u = np.abs(rho - 1.0)
         with np.errstate(divide="ignore"):
             return wv * av * np.power(u, av - 1.0)
 
     def density_at_rate(z, x):
         z = np.asarray(z, dtype=float)
-        wv, av, qv = _coeff_values(w, x), _coeff_values(alpha, x), _coeff_values(q, x)
+        wv, av, qv = coefficient_at(w, x), coefficient_at(alpha, x), coefficient_at(q, x)
         u = (z + qv) / wv
         rho = 1.0 + np.sign(u) * np.power(np.abs(u), 1.0 / av)
         if np.any(rho < 0.0):
@@ -163,7 +165,7 @@ def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> Re
         return rho
 
     def rate_floor(x):
-        return -(_coeff_values(w, x) + _coeff_values(q, x))
+        return -(coefficient_at(w, x) + coefficient_at(q, x))
 
     return ReactionLaw(
         label="signed-power",
@@ -192,16 +194,16 @@ def make_reaction(kind: str, **params) -> ReactionLaw:
         expected = {"w", "beta", "q"}
         if set(coeffs) != expected:
             raise ValueError(f"power reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}")
-        _require_positive("w", _coeff_values(coeffs["w"], probe))
-        _require_positive("1+beta", 1.0 + _coeff_values(coeffs["beta"], probe))
-        if np.any(_coeff_values(coeffs["q"], probe) < 0.0):
+        _require_positive("w", coefficient_at(coeffs["w"], probe))
+        _require_positive("1+beta", 1.0 + coefficient_at(coeffs["beta"], probe))
+        if np.any(coefficient_at(coeffs["q"], probe) < 0.0):
             raise ValueError("power reaction requires q >= 0")
         return _make_power(coeffs["w"], coeffs["beta"], coeffs["q"])
     if kind == "log":
         expected = {"w", "q"}
         if set(coeffs) != expected:
             raise ValueError(f"log reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}")
-        _require_positive("w", _coeff_values(coeffs["w"], probe))
+        _require_positive("w", coefficient_at(coeffs["w"], probe))
         return _make_log(coeffs["w"], coeffs["q"])
     if kind == "signed-power":
         expected = {"w", "alpha", "q"}
@@ -209,11 +211,11 @@ def make_reaction(kind: str, **params) -> ReactionLaw:
             raise ValueError(
                 f"signed-power reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}"
             )
-        _require_positive("w", _coeff_values(coeffs["w"], probe))
-        alpha = _coeff_values(coeffs["alpha"], probe)
+        _require_positive("w", coefficient_at(coeffs["w"], probe))
+        alpha = coefficient_at(coeffs["alpha"], probe)
         if np.any(alpha <= 0.0) or np.any(alpha > 1.0):
             raise ValueError("signed-power reaction requires 0 < alpha <= 1")
-        if np.any(_coeff_values(coeffs["q"], probe) < 0.0):
+        if np.any(coefficient_at(coeffs["q"], probe) < 0.0):
             raise ValueError("signed-power reaction requires q >= 0")
         return _make_signed_power(coeffs["w"], coeffs["alpha"], coeffs["q"])
     raise ValueError(f"unknown reaction kind {kind!r}; registered kinds: {REACTION_KINDS}")

@@ -21,8 +21,10 @@ optimality system: duals are read off a breadth-first spanning forest of the
 support graph, as in network simplex, and arc masses off an NNLS fit of the
 same incidence matrix the LP uses. The duals are then made exactly feasible
 by a double c-transform, and the verified primal-dual gap certifies the
-step. Every inversion of the monotone column-mass law (breakpoint costs,
-prices of the refined masses, the balance gauge of unpinned support
+step; there is no fallback: a step returns its last assembled candidate,
+whose gap decides `converged`, or raises StepFailure naming the failed
+certificate. Every inversion of the monotone column-mass law (breakpoint
+costs, prices of the refined masses, the balance gauge of unpinned support
 components) goes through one vectorized bisection. The creation field and
 (for implicit steps) the density are defined through the dual prices, so
 the marginal-cost identities hold by construction.
@@ -50,7 +52,7 @@ __all__ = [
     "solve_fixed_target",
     "solve_jko_step",
     "extract_potentials",
-    "weighted_median",
+    "StepFailure",
 ]
 
 _EXP_CAP = 700.0
@@ -156,12 +158,25 @@ class PotentialReport:
     support_slack: float
 
 
-def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+class StepFailure(RuntimeError):
+    """An exact step that cannot be certified.
+
+    certificate names the failed check (joint_lp, reduced_residual,
+    lp_rounds or polish_gap), value is what it measured, and context says
+    where the step ran.
+    """
+
+    def __init__(self, certificate: str, value: float, context: str = "exact step"):
+        self.certificate = certificate
+        self.value = float(value)
+        self.context = context
+        super().__init__(f"{context}: certificate failed: {certificate} {self.value:.3e}")
+
+
+def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     """Median of values under nonnegative weights (lower median convention)."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if values.size == 0:
-        return 0.0
     total = float(np.sum(weights))
     if total <= 0.0:
         return float(np.median(values))
@@ -351,8 +366,6 @@ def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
     n = cost.n_cells
     support = support.copy()
     mass_scale = max(kern.total_mass, 1e-300)
-    phi = ps = gamma = None
-    resid = np.inf
     for _ in range(2 * n + 4):
         phi, ps = _potentials_on_support(kern, cost, support)
         col_mass = np.maximum(kern.col_target(ps), 0.0)
@@ -426,7 +439,7 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         },
     )
     if not res.success:
-        raise RuntimeError(f"joint refinement LP failed: {res.message}")
+        raise StepFailure("joint_lp", res.status, f"joint refinement LP: {res.message}")
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
     m_star = breaks[:, 0] + res.x[n_arcs:].reshape(n, k).sum(axis=1)
@@ -442,7 +455,9 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     windows converges globally to the step optimum from any seed. The
     identified support is then snapped to machine precision by the reduced
     optimality system, and the candidate's verified primal-dual gap
-    certifies the result. Returns the best candidate and the LP rounds run.
+    certifies the result. Returns the last candidate assembled and the LP
+    rounds run; StepFailure(lp_rounds) if no round settled inside its
+    window, so no candidate was assembled.
     """
     n = cost.n_cells
 
@@ -459,7 +474,7 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     hi = np.maximum(m_seed + half, lo + cell_scale)
     k = 12
     target_width = 1e-11 * cell_scale
-    best = None
+    cand = None
     for rnd in range(40):
         breaks = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
         xi = _xi_table(kern, breaks)
@@ -470,18 +485,17 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         grow = at_lo | at_hi
         if not np.any(grow) and rnd >= 1:
             cand = _assemble_candidate(kern, cost, gamma_joint, m_star, m_min)
-            if best is None or cand[6] < best[6]:
-                best = cand
-            if cand[6] <= 1e-10 * (1.0 + abs(cand[5])):
+            if cand[-1] <= 1e-10 * (1.0 + abs(cand[-2])):
                 break
         if not np.any(grow) and np.all((hi - lo) <= target_width):
             break
         width = np.where(grow, (hi - lo) * 3.0, np.maximum(3.0 * seg, target_width))
         lo = np.maximum(m_star - 0.5 * width, m_min)
         hi = np.maximum(m_star + 0.5 * width, lo + target_width)
-    if best is None:
-        best = _assemble_candidate(kern, cost, gamma_joint, m_star, m_min)
-    return best, rnd + 1
+    if cand is None:
+        raise StepFailure("lp_rounds", rnd + 1,
+                          "breakpoint refinement assembled no candidate")
+    return cand, rnd + 1
 
 
 def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
@@ -500,12 +514,14 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
                         m_star: np.ndarray, m_min: np.ndarray):
     """Exact solution candidate at refined masses, with its duality gap.
 
-    Prices, density and creation field are assembled from the mass roots;
-    the plan support (augmented with every near-tight arc, so degenerate
-    ties cannot pair a plan with foreign duals) is snapped through the
-    reduced system. Potentials are made exactly feasible by a double
-    c-transform, and the verified primal-dual gap certifies the candidate:
-    at a true optimum it vanishes to rounding.
+    Seed prices are read off the mass roots; the plan support (augmented
+    with every near-tight arc for those prices, so degenerate ties cannot
+    pair a plan with foreign duals) is snapped through the reduced system,
+    which defines the plan, prices, density and creation field of the
+    candidate. A reduced solve that cannot carry the marginals raises
+    StepFailure(reduced_residual). Potentials are made exactly feasible by
+    a double c-transform, and the verified primal-dual gap certifies the
+    candidate: at a true optimum it vanishes to rounding.
     """
     model = kern.model
     x = kern.x
@@ -517,21 +533,12 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     allowed = ~cost.forbidden
     mass_scale = max(kern.total_mass, 1e-300)
 
-    def full_value(h, rho, transport_value):
-        val = transport_value + tau * dx * float(np.sum(model.cost(h, x)))
-        if kern.jko:
-            val += dx * float(np.sum(model.free_energy.density(rho, x)))
-        return val
-
     m_star = np.maximum(m_star, m_min)
-    rate_floor = np.nextafter(model.rate_floor(x), np.inf)
     if kern.jko:
         ps_m = _decreasing_root(kern.col_target, m_star, kern.total_mass)
-        rho_m = kern.rho_at(ps_m)
-        h_m = np.maximum((m_star / dx - rho_m) / tau, rate_floor)
     else:
-        rho_m = kern.rho_target
-        h_m = np.maximum((m_star / dx - rho_m) / tau, rate_floor)
+        h_m = np.maximum((m_star / dx - kern.rho_target) / tau,
+                         np.nextafter(model.rate_floor(x), np.inf))
         ps_m = -model.cost_slope(h_m, x)
     phi_m = np.minimum(
         np.min(q[:n, n:] + psi[None, :], axis=1),
@@ -545,14 +552,17 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     support[:n, n:] |= (q[:n, n:] + psi[None, :] - phi_m[:, None]) <= tight_tol
     support[n:, :n] |= (q[n:, :n] - psi[:, None] - ps_m[None, :]) <= tight_tol
 
-    phi_r, ps_r, gamma_r, resid = _reduced_solve(kern, cost, support)
-    if resid <= 1e-10 * mass_scale:
-        gamma, phi_out, ps_out = gamma_r, phi_r, ps_r
-        h = model.rate_at_price(-ps_r, x)
-        rho = kern.rho_at(ps_r)
-    else:
-        gamma, phi_out, ps_out, h, rho = gamma_joint, phi_m, ps_m, h_m, rho_m
-    value = full_value(h, rho, float(np.sum(gamma[allowed] * cost.tilde[allowed])))
+    phi_out, ps_out, gamma, resid = _reduced_solve(kern, cost, support)
+    if resid > 1e-10 * mass_scale:
+        raise StepFailure("reduced_residual", resid,
+                          "reduced solve on the tight support misses the marginals")
+    h = model.rate_at_price(-ps_out, x)
+    rho = kern.rho_at(ps_out)
+    primal = float(np.sum(gamma[allowed] * cost.tilde[allowed])) \
+        + tau * dx * float(np.sum(model.cost(h, x)))
+    value = primal
+    if kern.jko:
+        value += dx * float(np.sum(model.free_energy.density(rho, x)))
 
     # feasibility repair: exact double c-transform, lowering only entries
     # that violate a constraint and leaving tight arcs untouched
@@ -563,7 +573,7 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     phi_out = np.minimum(beta_row, np.min(q[:n, :n] - ps_out[None, :], axis=1))
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
-    return gamma, h, rho, phi_out, ps_out, value, abs(gap)
+    return gamma, h, rho, phi_out, ps_out, primal, value, abs(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +609,8 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         if phi_star.shape != (n,):
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
-    (gamma, h, rho, phi_i, ps_i, value, gap), rounds = _polish(kern, cost, phi_star)
-
-    transport_cost = float(np.sum(gamma[~cost.forbidden] * cost.tilde[~cost.forbidden]))
-    primal_value = transport_cost + tau * dx * float(np.sum(model.cost(h, x)))
-    objective = value if kern.jko else primal_value
+    (gamma, h, rho, phi_i, ps_i, primal_value, objective, gap), rounds = \
+        _polish(kern, cost, phi_star)
 
     phi_full = np.concatenate([phi_i, [model.psi_lo, model.psi_hi]])
     ps_full = np.concatenate([ps_i, [-model.psi_lo, -model.psi_hi]])
@@ -643,8 +650,9 @@ def solve_fixed_target(
 
     mu gives interior source cell masses (or a Density); rho the target cell
     densities. The creation field is eliminated through the column marginal:
-    h_i = (column mass_i / dx - rho_i) / tau. On non-convergence the best
-    candidate is returned with converged=False rather than raising.
+    h_i = (column mass_i / dx - rho_i) / tau. When the polish gap of the
+    last candidate stays above its bound, that candidate is returned with
+    converged=False; a step that yields no candidate raises StepFailure.
     """
     mu_arr = _as_mass(mu, grid)
     rho_arr = np.asarray(rho, dtype=float)
@@ -680,12 +688,12 @@ def extract_potentials(
     phi: np.ndarray,
     phi_star: np.ndarray,
     *,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
 ) -> PotentialReport:
     """Dual-structure report: offset, price residual, feasibility and slack.
 
-    kappa is the mass-weighted median of phi* + cost_slope(h) over interior
-    cells; the optimality residual is the worst deviation from it. The
+    kappa is the median of phi* + cost_slope(h) over interior cells under
+    the column-mass weights; the optimality residual is the worst deviation from it. The
     concavity gap is the positive part of phi + phi* - quadratic cost over
     admissible pairs (wall potentials pinned), and the support slack the
     worst complementary-slackness violation on the plan's support.
@@ -693,9 +701,7 @@ def extract_potentials(
     n = cost.n_cells
     x = grid.cell_centers
     prices = model.cost_slope(h, x)
-    if weights is None:
-        weights = gamma[:, :n].sum(axis=0)
-    kappa = weighted_median(phi_star[:n] + prices, weights)
+    kappa = _weighted_median(phi_star[:n] + prices, weights)
     optimality_residual = float(np.max(np.abs(phi_star[:n] + prices - kappa))) if n else 0.0
 
     total = phi[:, None] + phi_star[None, :] - cost.quad

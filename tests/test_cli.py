@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import resflow
-from resflow.cli import EXIT_CONFIG, EXIT_OK, main
+from resflow import StepFailure, flow
+from resflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_UNEXPECTED, main
 
 SMALL = """
 domain.n_cells = 8
@@ -52,6 +53,34 @@ def test_bad_config_is_a_config_error(tmp_path):
     assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_model_rejected_at_parse_is_a_config_error(small_cfg, capsys):
+    # a power law with q = 0 has rate floor 0: no equilibrium density
+    small_cfg.write_text(SMALL.replace("model.q = 1.0", "model.q = 0"))
+    assert main(["solve", "--config", str(small_cfg)]) == EXIT_CONFIG
+    assert "rate floor" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_solve_is_not_a_config_error(small_cfg, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("cost slope diverges at the rate floor")
+
+    monkeypatch.setattr(flow, "solve_jko_step", broken)
+    code = main(["solve", "--config", str(small_cfg), "--output", str(tmp_path)])
+    assert code == EXIT_UNEXPECTED
+
+
+def test_step_failure_names_step_and_certificate(small_cfg, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise StepFailure("reduced_residual", 2.5e-9)
+
+    monkeypatch.setattr(flow, "solve_jko_step", failing)
+    code = main(["solve", "--config", str(small_cfg), "--output", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "transport step 1/2" in err
+    assert "reduced_residual 2.500e-09" in err
+
+
 def test_removed_solver_flags_are_rejected(small_cfg):
     for flag in ("--tol", "--max-iters", "--epsilon-scale"):
         with pytest.raises(SystemExit) as err:
@@ -67,6 +96,9 @@ def test_sweep_needs_three_taus(small_cfg, tmp_path):
     out = tmp_path / "sweep_out"
     assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
     assert (out / "sweep.csv").exists()
+    # the reference step 0.03 / 8 does not divide t_final = 0.2
+    cfg.write_text(SMALL.replace("scheme.tau = 0.1", "scheme.tau_list = 0.1, 0.05, 0.03"))
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
 
 
 def test_oracle_writes_field(small_cfg, tmp_path, capsys):

@@ -77,6 +77,7 @@ def test_render_default_round_trips():
         ("domain.n_cells = 8.5", "integer"),
         ("scheme.tau = abc", "number"),
         ("model.drift = 1, 2, 3", "one or two"),
+        ("model.q = 0", "rate floor"),
     ],
 )
 def test_rejections_name_the_problem(text, fragment):

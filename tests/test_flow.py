@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resflow import (
+    StepFailure,
     flow,
     barrier_check,
     calibrate_barriers,
@@ -141,8 +142,11 @@ def test_dissipation_ledger_rejects_unconverged_self_transport(
                                    residuals={**sol.residuals, "polish_gap": 3.5e-4})
 
     monkeypatch.setattr(flow, "solve_fixed_target", unconverged)
-    with pytest.raises(RuntimeError, match=r"ledger step 1/4.*polish_gap 3\.500e-04"):
+    with pytest.raises(RuntimeError, match=r"ledger step 1/4.*polish_gap 3\.500e-04") as err:
         dissipation_ledger(decaying_traj, unit_model)
+    assert isinstance(err.value, StepFailure)
+    assert err.value.certificate == "polish_gap"
+    assert err.value.value == 3.5e-4
 
 
 def test_telescoped_bound(decaying_traj, unit_model, grid16):

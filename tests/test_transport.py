@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resflow import transport
+
 from resflow import (
     Density,
     SolverOptions,
+    StepFailure,
     build_cost_matrix,
     build_grid,
     build_model,
@@ -115,6 +118,22 @@ def test_fine_grid_step_certifies(unit_model):
     cols = sol.gamma[:, :n].sum(axis=0)
     assert np.max(np.abs(cols - (sol.rho + 0.05 * sol.h) * grid.cell_width)) <= 1e-10
     assert sol.gamma[n:, n:].sum() == 0.0
+
+
+def test_reduced_solve_residual_raises_step_failure(unit_model, grid8, monkeypatch):
+    """A support that cannot carry the marginals fails the step loudly."""
+    real = transport._reduced_solve
+
+    def leaky(*args, **kwargs):
+        phi, ps, gamma, _ = real(*args, **kwargs)
+        return phi, ps, gamma, 1e-3
+
+    monkeypatch.setattr(transport, "_reduced_solve", leaky)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid8.cell_centers)) * grid8.cell_width
+    with pytest.raises(StepFailure, match="reduced_residual 1.000e-03") as err:
+        solve_jko_step(unit_model, grid8, 0.1, mu)
+    assert err.value.certificate == "reduced_residual"
+    assert err.value.value == 1e-3
 
 
 def test_warm_start_reproduces_cold_solution(unit_model, grid16):
