@@ -1,34 +1,47 @@
 """Exhaustive reference solver for tiny instances.
 
-Independent of the production LP solver: the transport subproblem is
-solved by enumerating the vertices of the dual polytope once per instance
-(the dual maximum over a polytope with bounded coordinates is attained at a
-vertex), after which the transport cost for ANY interior column-mass vector
-is an exact max of affine functions. The reaction/creation variables are then
-found by exhaustive grid search in the marginal-price coordinate, refined
-geometrically until two successive resolutions agree.
+Independent of the production solver: it imports nothing from transport.py
+and uses no LP and no library optimiser. The transport subproblem is solved
+by enumerating the vertices of the dual polytope once per instance (the dual
+maximum over a polytope with bounded coordinates is attained at a vertex),
+after which the transport cost for ANY interior column-mass vector is an
+exact max of affine functions. Every other term is separable: the search
+coordinate of a cell (its marginal price for a fixed target, its column mass
+for an implicit step) enters only through that cell's column mass and local
+cost. The search therefore tabulates the local costs one axis at a time,
+evaluates the transport value on the full tensor grid, and refines the grid
+geometrically until two successive resolutions agree; cyclic coordinate
+line searches then polish the optimum.
 
-Everything here is deliberately simple and slow; it exists to certify the
-fast path on instances with at most 3 interior cells (5 nodes).
+Every one-dimensional minimisation (the implicit step's inner
+reaction/density split and the polish line searches) is one batched
+bracketed grid search over many unimodal functions at once: the same
+brute-force convexity argument as the tensor search, vectorised over whole
+axes. The oracle certifies the fast path on instances with at most 3
+interior cells (5 nodes).
 """
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .grid import Grid
 from .model import Model
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["OracleResult", "certified_price_window", "dual_vertices", "brute_force_small"]
+__all__ = ["OracleResult", "certified_price_window", "brute_force_small"]
 
 _SELF_CONSISTENCY_TOL = 1e-7
+_N_GRID = 50          # points per axis of the tensor search
+_MAX_PASSES = 14      # passes of the tensor search
+_EXPAND_LIMIT = 8     # edge expansions of the tensor search box
+_POLISH_SWEEPS = 6    # cyclic sweeps of the coordinate polish
+_LINE_POINTS = 33     # points per row and pass of the bracketed search
+_XATOL = 1e-13        # bracket width at which the bracketed search stops
 
 
 @dataclass(frozen=True)
@@ -75,7 +88,7 @@ def _transport_costs(grid: Grid, tau: float) -> tuple[np.ndarray, np.ndarray, np
     return q_int, q_lo, q_hi
 
 
-def dual_vertices(
+def _dual_vertices(
     q_int: np.ndarray, beta_row: np.ndarray, beta_col: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All vertices of {phi_i + phi*_j <= q_ij, phi <= beta_row, phi* <= beta_col}.
@@ -131,7 +144,7 @@ class _TransportValue:
         q_int, q_lo, q_hi = _transport_costs(grid, tau)
         beta_row = np.minimum(q_lo + model.psi_lo, q_hi + model.psi_hi)
         beta_col = np.minimum(q_lo - model.psi_lo, q_hi - model.psi_hi)
-        self.phi_verts, self.phi_star_verts = dual_vertices(q_int, beta_row, beta_col)
+        self.phi_verts, self.phi_star_verts = _dual_vertices(q_int, beta_row, beta_col)
         self.mu = mu
         self._row_part = self.phi_verts @ mu  # (K,)
 
@@ -150,13 +163,83 @@ def _grid_axes(lo: np.ndarray, hi: np.ndarray, n_pts: int) -> list[np.ndarray]:
     return [np.linspace(lo[j], hi[j], n_pts) for j in range(len(lo))]
 
 
+def _bracketed_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise B unimodal functions of one variable at once, row b on [lo[b], hi[b]].
+
+    f maps a (B, k) array of trial points, row b for function b, to their
+    (B, k) values. Each pass evaluates a _LINE_POINTS grid per row, endpoints
+    included, in one call of f and keeps the two grid cells around each
+    row's argmin, which contain a minimiser of a unimodal function. Passes
+    stop once every bracket is narrower than _XATOL (or than a few units in
+    the last place, where rounding would stall it). Returns the argmin of
+    the last pass and its value, both shaped (B,). Where rounding flattens a
+    smooth minimum into tied values, the point returned ties the minimum
+    value but may sit up to about sqrt(eps) (relative to the value scale)
+    from the exact minimiser.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    t = np.linspace(0.0, 1.0, _LINE_POINTS)
+    rows = np.arange(len(lo))
+    while True:
+        pts = lo[:, None] + (hi - lo)[:, None] * t
+        vals = f(pts)
+        k = np.argmin(vals, axis=1)
+        width = hi - lo
+        if np.all(width <= _XATOL + 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))):
+            return pts[rows, k], vals[rows, k]
+        lo = pts[rows, np.maximum(k - 1, 0)]
+        hi = pts[rows, np.minimum(k + 1, _LINE_POINTS - 1)]
+
+
+class _SeparableObjective:
+    """Transport value of the column masses plus one local cost per cell.
+
+    cell(v, j) maps a 1-D array of values of cell j's search coordinate to
+    that cell's column masses and local costs; no other cell's coordinate
+    enters either.
+    """
+
+    def __init__(self, transport: _TransportValue, cell):
+        self.transport = transport
+        self.cell = cell
+
+    def _total(self, parts) -> np.ndarray:
+        """Objective on the tensor product of the per-axis (column, local) tables."""
+        cols, local = zip(*parts)
+        mesh = np.stack(np.meshgrid(*cols, indexing="ij"), axis=-1)
+        total = self.transport.value_many(mesh)
+        for j, table in enumerate(local):
+            shape = [1] * len(parts)
+            shape[j] = -1
+            total = total + table.reshape(shape)
+        return total
+
+    def on_grid(self, axes: list[np.ndarray]) -> np.ndarray:
+        return self._total([self.cell(axis, j) for j, axis in enumerate(axes)])
+
+    def at(self, v: np.ndarray) -> float:
+        return float(self.on_grid([v[j:j + 1] for j in range(len(v))]).ravel()[0])
+
+    def line(self, v: np.ndarray, d: int):
+        """The objective along coordinate d through v, as a function of a
+        (1, k) array of trial values. The other cells' tables are constants
+        on that line, so each call re-evaluates cell d only."""
+        parts = [self.cell(v[j:j + 1], j) for j in range(len(v))]
+
+        def f(s: np.ndarray) -> np.ndarray:
+            parts[d] = self.cell(s.ravel(), d)
+            return self._total(parts).reshape(s.shape)
+
+        return f
+
+
 def _search_box(
     objective_on_grid,
     lo: np.ndarray,
     hi: np.ndarray,
     n_pts: int,
     max_passes: int,
-    expand_limit: int = 8,
 ) -> tuple[np.ndarray, float, int, float, float]:
     """Exhaustive tensor-grid minimization with edge expansion and shrinking.
 
@@ -185,7 +268,7 @@ def _search_box(
         pt = np.array([axes[d][idx[d]] for d in range(n_dim)])
         passes += 1
         at_edge = [idx[d] in (0, n_pts - 1) for d in range(n_dim)]
-        if any(at_edge) and expansions < expand_limit:
+        if any(at_edge) and expansions < _EXPAND_LIMIT:
             for d in range(n_dim):
                 width = hi[d] - lo[d]
                 if idx[d] == 0:
@@ -211,27 +294,45 @@ def _search_box(
     return best_pt, best_val, passes, spacing, coarse
 
 
-def _coordinate_polish(objective, point: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps: int = 6) -> np.ndarray:
-    """Cyclic exact line searches; valid because the objective is convex per
-    coordinate (jointly convex in the rate/mass variables)."""
+def _coordinate_polish(line, point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cyclic exact line searches, each one _bracketed_min over [lo[d], hi[d]].
+
+    line(pt, d) is the objective along coordinate d through pt, taking a
+    (1, k) array of trial values. Bracketing is valid because the objective
+    is unimodal along every coordinate (jointly convex in the rate/mass
+    variables, and the price-to-rate map is monotone).
+    """
     pt = point.copy()
-    for _ in range(sweeps):
+    for _ in range(_POLISH_SWEEPS):
         moved = 0.0
         for d in range(len(pt)):
-            def line(s, d=d):
-                trial = pt.copy()
-                trial[d] = s
-                return objective(trial)
-
-            res = optimize.minimize_scalar(
-                line, bounds=(lo[d], hi[d]), method="bounded",
-                options={"xatol": 1e-13, "maxiter": 200},
-            )
-            moved = max(moved, abs(float(res.x) - pt[d]))
-            pt[d] = float(res.x)
-        if moved < 1e-13:
+            s, _ = _bracketed_min(line(pt, d), lo[d:d + 1], hi[d:d + 1])
+            moved = max(moved, abs(float(s[0]) - pt[d]))
+            pt[d] = float(s[0])
+        if moved < _XATOL:
             break
     return pt
+
+
+def _minimise(objective: _SeparableObjective, lo: np.ndarray, hi: np.ndarray,
+              box_lo: np.ndarray, box_hi: np.ndarray):
+    """Tensor search from [lo, hi], coordinate polish inside [box_lo, box_hi],
+    then the self-consistency check: the final neighbourhood searched again
+    at doubled resolution. Returns (point, value, passes, coarse spacing,
+    self-consistency gap)."""
+    pt, val, passes, spacing, coarse = _search_box(
+        objective.on_grid, lo, hi, _N_GRID, _MAX_PASSES
+    )
+    pt = _coordinate_polish(objective.line, pt, box_lo, box_hi)
+    val = objective.at(pt)
+    span = np.maximum(spacing, 1e-9)
+    pt2, val2, _, _, _ = _search_box(
+        objective.on_grid, np.maximum(pt - 2 * span, box_lo), pt + 2 * span, 2 * _N_GRID, 4
+    )
+    gap = abs(val2 - val)
+    if val2 < val:
+        pt, val = pt2, val2
+    return pt, val, passes, coarse, gap
 
 
 def brute_force_small(
@@ -241,8 +342,6 @@ def brute_force_small(
     mu: np.ndarray,
     *,
     rho: np.ndarray | None = None,
-    n_grid: int = 50,
-    max_passes: int = 14,
 ) -> OracleResult:
     """Reference optimum by dual-vertex enumeration plus exhaustive search.
 
@@ -253,7 +352,7 @@ def brute_force_small(
     cells: the dual polytope bases grow combinatorially.
 
     The reported h_resolution is the granularity of the candidate enumeration:
-    the step of the n_grid-point search grid after one refinement of the
+    the step of the _N_GRID-point search grid after one refinement of the
     settled bracket, converted to creation-rate units. It says how finely the
     brute force distinguished fields, and is the right yardstick for h
     agreement; the optimum value itself is sharpened well past it by the
@@ -270,69 +369,35 @@ def brute_force_small(
     tau = float(tau)
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau!r}")
-    if n_grid < 50:
-        raise ValueError("grid search needs at least 50 points per cell")
 
-    dx = grid.cell_width
-    x = grid.cell_centers
     transport = _TransportValue(model, grid, tau, mu)
     window = certified_price_window(model, grid, tau)
-    floor = np.asarray(model.rate_floor(x), dtype=float)
-
-    if rho is not None:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (n,) or np.any(rho < 0.0):
-            raise ValueError("rho must be a nonnegative vector of interior densities")
-        result = _solve_fixed_target(
-            model, grid, tau, mu, rho, transport, window, floor, n_grid, max_passes
-        )
-    else:
-        result = _solve_implicit_step(
-            model, grid, tau, mu, transport, window, floor, n_grid, max_passes
-        )
-    return result
+    if rho is None:
+        return _solve_implicit_step(model, grid, tau, mu, transport, window)
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (n,) or np.any(rho < 0.0):
+        raise ValueError("rho must be a nonnegative vector of interior densities")
+    return _solve_fixed_target(model, grid, tau, rho, transport, window)
 
 
-def _solve_fixed_target(model, grid, tau, mu, rho, transport, window, floor, n_grid, max_passes):
+def _solve_fixed_target(model, grid, tau, rho, transport, window):
     dx = grid.cell_width
     x = grid.cell_centers
     n = grid.n_cells
 
-    def objective_many(prices: np.ndarray) -> np.ndarray:
-        """prices: (..., n) -> total cost (...,). Infeasible points get +inf."""
-        h = np.stack(
-            [model.rate_at_price(prices[..., j], x[j]) for j in range(n)], axis=-1
-        )
-        col = (rho + tau * h) * dx
-        bad = col < -1e-14
-        col = np.maximum(col, 0.0)
-        cost = np.stack([model.cost(h[..., j], x[j]) for j in range(n)], axis=-1)
-        total = transport.value_many(col) + tau * dx * np.sum(cost, axis=-1)
-        return np.where(np.any(bad, axis=-1), np.inf, total)
-
-    def on_grid(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        prices = np.stack(mesh, axis=-1)
-        return objective_many(prices)
+    def cell(p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column masses and reaction costs of cell j at prices p; a column
+        that would go negative is infeasible and costs +inf."""
+        h = model.rate_at_price(p, x[j])
+        col = (rho[j] + tau * h) * dx
+        local = tau * dx * model.cost(h, x[j])
+        return np.maximum(col, 0.0), np.where(col < -1e-14, np.inf, local)
 
     lo = np.full(n, window[0])
     hi = np.full(n, window[1])
-    pt, val, passes, spacing, coarse = _search_box(on_grid, lo, hi, n_grid, max_passes)
-
-    def scalar_obj(p):
-        return float(objective_many(p[None, :])[0])
-
-    pt = _coordinate_polish(scalar_obj, pt, lo, hi)
-    val = scalar_obj(pt)
-
-    # Self-consistency: redo the final neighborhood at doubled resolution.
-    span = np.maximum(spacing, 1e-9)
-    pt2, val2, _, _, _ = _search_box(
-        on_grid, pt - 2 * span, pt + 2 * span, 2 * n_grid, 4
+    pt, val, passes, coarse, gap = _minimise(
+        _SeparableObjective(transport, cell), lo, hi, lo, hi
     )
-    gap = abs(val2 - val)
-    if val2 < val:
-        pt, val = pt2, val2
     if gap > _SELF_CONSISTENCY_TOL:
         logger.warning("fixed-target oracle self-consistency gap %.3g", gap)
 
@@ -340,7 +405,7 @@ def _solve_fixed_target(model, grid, tau, mu, rho, transport, window, floor, n_g
     col = np.maximum((rho + tau * h) * dx, 0.0)
     phi, phi_star = transport.argmax_vertex(col)
     # Granularity of the single-refinement price enumeration, in rate units.
-    enum_spacing = 4.0 * coarse / (n_grid - 1)
+    enum_spacing = 4.0 * coarse / (_N_GRID - 1)
     dh = float(np.max(np.abs(model.rate_at_price_derivative(pt, x)))) * enum_spacing
     ok = bool(np.all(h >= model.rate_at_price(window[0], x) - 1e-9)
               and np.all(h <= model.rate_at_price(window[1], x) + 1.0 + 1e-9))
@@ -359,67 +424,43 @@ def _solve_fixed_target(model, grid, tau, mu, rho, transport, window, floor, n_g
     )
 
 
-def _solve_implicit_step(model, grid, tau, mu, transport, window, floor, n_grid, max_passes):
+def _solve_implicit_step(model, grid, tau, mu, transport, window):
     dx = grid.cell_width
     x = grid.cell_centers
     n = grid.n_cells
     energy = model.free_energy
 
-    def cell_reaction_split(m_j: float, j: int) -> tuple[float, float, float]:
-        """Exact inner minimization of tau*dx*cost(h) + dx*E(m_j/dx - tau h).
+    def split_many(m: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact inner minimization of tau*dx*cost(h) + dx*E(m/dx - tau h)
+        over h, for every column mass in the 1-D array m of cell j.
 
-        Unimodal along the price coordinate since the objective is convex in
-        the rate itself. Returns (best objective, h, rho)."""
-        m_j = max(float(m_j), 0.0)
-        p_cap = float(model.cost_slope(m_j / (tau * dx), x[j])) if m_j > 0 else None
+        Searched along the price coordinate with one _bracketed_min call:
+        every row is unimodal there, since the objective is convex in the
+        rate itself. Each row's bracket is the price window widened by 2 on
+        both sides, its upper end capped at the price whose rate empties the
+        cell; a row whose cap leaves nothing, or whose column receives
+        nothing (all balance is local), keeps the full widened window.
+        Returns (best objective, h, rho), each shaped like m.
+        """
+        m = np.maximum(m, 0.0)
 
-        def eval_price(p: float) -> tuple[float, float, float]:
-            h = float(model.rate_at_price(p, x[j]))
-            h = min(h, m_j / (tau * dx))
-            rho_j = max(m_j / dx - tau * h, 0.0)
-            val = tau * dx * float(model.cost(h, x[j])) + dx * float(
-                energy.density(rho_j, x[j])
-            )
+        def eval_price(p, m):
+            h = np.minimum(model.rate_at_price(p, x[j]), m / (tau * dx))
+            rho_j = np.maximum(m / dx - tau * h, 0.0)
+            val = tau * dx * model.cost(h, x[j]) + dx * energy.density(rho_j, x[j])
             return val, h, rho_j
 
         s_lo = window[0] - 2.0
         s_hi = window[1] + 2.0
-        if p_cap is not None:
-            s_hi = min(s_hi, p_cap)
-        if m_j <= 0.0 or s_hi <= s_lo:
-            # Degenerate: the column receives nothing, all balance is local.
-            res = optimize.minimize_scalar(
-                lambda p: eval_price(p)[0],
-                bounds=(window[0] - 2.0, window[1] + 2.0),
-                method="bounded",
-                options={"xatol": 1e-13, "maxiter": 200},
-            )
-            return eval_price(float(res.x))
-        res = optimize.minimize_scalar(
-            lambda p: eval_price(p)[0],
-            bounds=(s_lo, s_hi),
-            method="bounded",
-            options={"xatol": 1e-13, "maxiter": 200},
+        cap = np.minimum(s_hi, model.cost_slope(m / (tau * dx), x[j]))
+        hi = np.where((m > 0.0) & (cap > s_lo), cap, s_hi)
+        p, _ = _bracketed_min(
+            lambda p: eval_price(p, m[:, None])[0], np.full(len(m), s_lo), hi
         )
-        best = eval_price(float(res.x))
-        for p_edge in (s_lo, s_hi):
-            cand = eval_price(p_edge)
-            if cand[0] < best[0]:
-                best = cand
-        return best
+        return eval_price(p, m)
 
-    def on_grid(axes):
-        tables = []
-        for j, axis in enumerate(axes):
-            tables.append(np.array([cell_reaction_split(m, j)[0] for m in axis]))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        col = np.stack(mesh, axis=-1)
-        total = transport.value_many(col)
-        for j in range(n):
-            shape = [1] * n
-            shape[j] = len(axes[j])
-            total = total + tables[j].reshape(shape)
-        return total
+    def cell(m: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        return m, split_many(m, j)[0]
 
     density_scale = max(
         float(np.max(mu)) / dx,
@@ -427,39 +468,25 @@ def _solve_implicit_step(model, grid, tau, mu, transport, window, floor, n_grid,
         float(np.max(model.reaction.density_at_rate(0.0, x))),
         1.0,
     )
-    lo = np.full(n, 0.0)
-    hi = np.full(n, 3.0 * density_scale * dx)
-    pt, val, passes, spacing, coarse = _search_box(on_grid, lo, hi, n_grid, max_passes)
-
-    def scalar_obj(m):
-        m = np.asarray(m, dtype=float)
-        local = sum(cell_reaction_split(m[j], j)[0] for j in range(n))
-        return float(transport.value_many(m[None, :])[0]) + local
-
-    big = np.full(n, 10.0 * density_scale * dx)
-    pt = _coordinate_polish(scalar_obj, pt, np.zeros(n), big)
-    val = scalar_obj(pt)
-
-    span = np.maximum(spacing, 1e-9)
-    pt2, val2, _, _, _ = _search_box(
-        on_grid, np.maximum(pt - 2 * span, 0.0), pt + 2 * span, 2 * n_grid, 4
+    zero = np.zeros(n)
+    pt, val, passes, coarse, gap = _minimise(
+        _SeparableObjective(transport, cell),
+        zero, np.full(n, 3.0 * density_scale * dx),
+        zero, np.full(n, 10.0 * density_scale * dx),
     )
-    gap = abs(val2 - val)
-    if val2 < val:
-        pt, val = pt2, val2
     if gap > _SELF_CONSISTENCY_TOL:
         logger.warning("implicit-step oracle self-consistency gap %.3g", gap)
 
     h = np.empty(n)
     rho = np.empty(n)
     for j in range(n):
-        _, h[j], rho[j] = cell_reaction_split(pt[j], j)
+        _, h[j:j + 1], rho[j:j + 1] = split_many(pt[j:j + 1], j)
     phi, phi_star = transport.argmax_vertex(pt)
     h_lo = model.rate_at_price(window[0], x)
     h_hi = model.rate_at_price(window[1], x)
     ok = bool(np.all(h >= h_lo - 1e-9) and np.all(h <= h_hi + 1.0 + 1e-9))
     # Granularity of the single-refinement column-mass enumeration, in rate units.
-    dm = 4.0 * coarse / (n_grid - 1)
+    dm = 4.0 * coarse / (_N_GRID - 1)
     dh = dm / (tau * dx)
     return OracleResult(
         value=float(val),

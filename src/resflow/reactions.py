@@ -15,7 +15,6 @@ it bounds from below how fast mass can be injected by the reaction channel.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 

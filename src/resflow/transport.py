@@ -162,8 +162,8 @@ class StepFailure(RuntimeError):
     """An exact step that cannot be certified.
 
     certificate names the failed check (joint_lp, reduced_residual,
-    lp_rounds or polish_gap), value is what it measured, and context says
-    where the step ran.
+    lp_rounds, polish_gap or price_root), value is what it measured, and
+    context says where the step ran.
     """
 
     def __init__(self, certificate: str, value: float, context: str = "exact step"):
@@ -227,7 +227,9 @@ def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
 
     Brackets grow geometrically from 0 on both sides, then bisection stops
     an entry once its residual is negligible against total_mass or its
-    bracket has closed to rounding.
+    bracket has closed to rounding. Raises StepFailure(price_root) with the
+    worst residual left when 200 bracket doublings or 200 bisection passes
+    leave an entry unsettled.
     """
     def resid(t):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,11 +241,14 @@ def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
     for end, sign in ((lo, -1.0), (hi, 1.0)):
         step = np.full_like(end, 0.5)
         for _ in range(200):
-            grow = ~(sign * resid(end) < 0.0)
+            fv = resid(end)
+            grow = ~(sign * fv < 0.0)
             if not np.any(grow):
                 break
             end[grow] += sign * step[grow]
             step[grow] *= 2.0
+        else:
+            raise StepFailure("price_root", np.max(np.abs(fv[grow])), "price bracket")
     scale = max(total_mass, 1e-300)
     t = 0.5 * (lo + hi)
     for _ in range(200):
@@ -255,6 +260,8 @@ def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
         hi = np.where(neg, t, hi)
         lo = np.where(neg, lo, t)
         t = np.where(done, t, 0.5 * (lo + hi))
+    else:
+        raise StepFailure("price_root", np.max(np.abs(fv[~done])), "price bisection")
     return t
 
 

@@ -1,6 +1,4 @@
 """Production solver: feasibility, optimality certificates, and conventions."""
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +132,21 @@ def test_reduced_solve_residual_raises_step_failure(unit_model, grid8, monkeypat
         solve_jko_step(unit_model, grid8, 0.1, mu)
     assert err.value.certificate == "reduced_residual"
     assert err.value.value == 1e-3
+
+
+def test_unbracketed_price_root_raises_step_failure(unit_model, grid8, monkeypatch):
+    """A column law that never reaches the required mass fails the step loudly."""
+    real = transport._Kernel.col_target
+
+    def saturated(self, t, cols=slice(None)):
+        return np.minimum(real(self, t, cols), 0.5 * self.dx)
+
+    monkeypatch.setattr(transport._Kernel, "col_target", saturated)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid8.cell_centers)) * grid8.cell_width
+    with pytest.raises(StepFailure, match="price_root") as err:
+        solve_jko_step(unit_model, grid8, 0.1, mu)
+    assert err.value.certificate == "price_root"
+    assert err.value.value > 0.0
 
 
 def test_warm_start_reproduces_cold_solution(unit_model, grid16):
