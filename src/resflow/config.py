@@ -15,18 +15,16 @@ import numpy as np
 
 from .grid import Grid, build_grid
 from .model import Model, build_model
-from .reactions import Coefficient, make_reaction
+from .reactions import REACTION_PARAMS, Coefficient, make_reaction
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
-# reaction kind -> parameter keys it requires under [model]
-_REACTION_PARAMS = {
-    "power": ("w", "beta", "q"),
-    "log": ("w", "q"),
-    "signed-power": ("w", "alpha", "q"),
+# default of each reaction parameter key under model.*
+_PARAM_DEFAULTS: dict[str, Coefficient] = {
+    "w": (1.0, 0.0), "beta": (0.0, 0.0), "q": (1.0, 0.0), "alpha": (0.5, 0.0),
 }
 
 _INITIAL_KINDS = ("constant", "linear", "sine")
@@ -43,7 +41,7 @@ class DomainConfig:
 class ModelConfig:
     reaction: str = "power"
     params: dict[str, Coefficient] = field(
-        default_factory=lambda: {"w": (1.0, 0.0), "beta": (0.0, 0.0), "q": (1.0, 0.0)}
+        default_factory=lambda: {name: _PARAM_DEFAULTS[name] for name in REACTION_PARAMS["power"]}
     )
     drift: Coefficient = (0.0, 0.0)
     boundary_density: tuple[float, float] = (1.0, 1.0)
@@ -199,15 +197,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("domain.n_cells must be at least 1")
 
     kind = get("model.reaction", str, "power")
-    if kind not in _REACTION_PARAMS:
+    if kind not in REACTION_PARAMS:
         raise ConfigError(
-            f"model.reaction must be one of {sorted(_REACTION_PARAMS)}, got {kind!r}"
+            f"model.reaction must be one of {sorted(REACTION_PARAMS)}, got {kind!r}"
         )
-    params = {}
-    for name in _REACTION_PARAMS[kind]:
-        defaults = {"w": "1.0", "beta": "0.0", "q": "1.0", "alpha": "0.5"}
-        params[name] = get(f"model.{name}", _parse_coefficient,
-                           _parse_coefficient(defaults[name]))
+    params = {name: get(f"model.{name}", _parse_coefficient, _PARAM_DEFAULTS[name])
+              for name in REACTION_PARAMS[kind]}
     bd = get("model.boundary_density", _parse_numbers, (1.0,))
     if len(bd) == 1:
         bd = (bd[0], bd[0])
@@ -292,7 +287,7 @@ def render_config(cfg: ExperimentConfig) -> str:
         f"domain.n_cells = {cfg.domain.n_cells}",
         f"model.reaction = {cfg.model.reaction}",
     ]
-    for name in _REACTION_PARAMS[cfg.model.reaction]:
+    for name in REACTION_PARAMS[cfg.model.reaction]:
         lines.append(f"model.{name} = {_fmt_coefficient(cfg.model.params[name])}")
     lines.append(f"model.drift = {_fmt_coefficient(cfg.model.drift)}")
     bd = cfg.model.boundary_density

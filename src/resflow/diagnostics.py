@@ -29,6 +29,9 @@ __all__ = [
     "fit_energy_constant",
 ]
 
+_WINDOW_SLACK = 1e-9
+_VACUOUS_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
@@ -86,7 +89,7 @@ def run_diagnostics(
         max_displacement = 0.0
 
     boundary_flux = float(np.sum(gamma[n:, :n]) + np.sum(gamma[:n, n:]))
-    quad = np.abs(nodes[:, None] - nodes[None, :]) ** 2 / (2.0 * tau)
+    quad = build_cost_matrix(model, grid, tau).quad
     quadratic_cost = float(np.sum(quad * gamma))
 
     transported = np.maximum(rho_after + tau * h, 1e-300)
@@ -97,11 +100,6 @@ def run_diagnostics(
     res_after = float(psi @ np.asarray(rho_after, dtype=float)) * dx
     rhs = energy_before - res_before - energy_after + res_after + tau
 
-    kappa = solution.kappa
-    optimality = float(
-        np.max(np.abs(solution.phi_star[:n] + model.cost_slope(h, x) - kappa))
-    )
-
     return DiagnosticsReport(
         max_displacement=max_displacement,
         boundary_flux=boundary_flux,
@@ -111,7 +109,7 @@ def run_diagnostics(
         kappa_ratio_min=float(np.min(ratios)),
         kappa_ratio_max=float(np.max(ratios)),
         energy_inequality_rhs=rhs,
-        optimality_residual=optimality,
+        optimality_residual=solution.residuals["kkt_kappa"],
         mass_floor=floor,
     )
 
@@ -124,8 +122,7 @@ class WindowReport:
     margin: float
 
 
-def created_mass_window(model: Model, grid: Grid, tau: float, h: np.ndarray,
-                        slack: float = 1e-9) -> WindowReport:
+def created_mass_window(model: Model, grid: Grid, tau: float, h: np.ndarray) -> WindowReport:
     """Check the a-priori window containing any optimal creation field.
 
     The window endpoints are the rates whose marginal cost sits just below
@@ -142,7 +139,7 @@ def created_mass_window(model: Model, grid: Grid, tau: float, h: np.ndarray,
     high = model.rate_at_price(price_high, x)
     h = np.asarray(h, dtype=float)
     margin = float(np.min(np.minimum(h - low, high + 1.0 - h)))
-    return WindowReport(ok=margin >= -slack, low=low, high=high, margin=margin)
+    return WindowReport(ok=margin >= -_WINDOW_SLACK, low=low, high=high, margin=margin)
 
 
 def _extended_cost(cost: CostMatrix, model: Model) -> np.ndarray:
@@ -154,10 +151,8 @@ def _extended_cost(cost: CostMatrix, model: Model) -> np.ndarray:
     """
     n = cost.n_cells
     psi = np.array([model.psi_lo, model.psi_hi])
-    ext = cost.quad.copy()
-    ext[:n, n:] += psi[None, :]
-    ext[n:, :n] -= psi[:, None]
-    ext[n:, n:] += psi[None, :] - psi[:, None]
+    ext = cost.tilde.copy()
+    ext[n:, n:] = cost.quad[n:, n:] + (psi[None, :] - psi[:, None])
     return ext
 
 
@@ -273,7 +268,7 @@ def cycle_monotonicity(
     return worst
 
 
-def fit_energy_constant(quad_costs, rhs_values, floor: float = 1e-12) -> float:
+def fit_energy_constant(quad_costs, rhs_values) -> float:
     """Smallest constant with quadratic_cost <= C * rhs across the samples.
 
     Brackets that came out non-positive contribute nothing (their steps are
@@ -282,8 +277,8 @@ def fit_energy_constant(quad_costs, rhs_values, floor: float = 1e-12) -> float:
     """
     c = 1.0
     for quad, rhs in zip(quad_costs, rhs_values):
-        if rhs > floor:
+        if rhs > _VACUOUS_FLOOR:
             c = max(c, float(quad) / float(rhs))
-        elif quad > floor:
+        elif quad > _VACUOUS_FLOOR:
             c = math.inf
     return c

@@ -25,6 +25,7 @@ __all__ = ["FDSolution", "solve_fd", "step_count", "weak_residual", "compare_tra
 
 _POSITIVITY_FLOOR = 1e-12
 _NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERS = 40
 _MAX_HALVINGS = 8
 
 
@@ -101,7 +102,6 @@ def _newton_step(
     u_prev: np.ndarray,
     dt: float,
     force: np.ndarray | None,
-    max_iters: int = 40,
 ) -> tuple[np.ndarray, bool, int]:
     u = np.maximum(u_prev.copy(), _POSITIVITY_FLOOR)
 
@@ -114,7 +114,7 @@ def _newton_step(
     res = residual(u)
     norm = float(np.max(np.abs(res)))
     scale = 1.0 + float(np.max(np.abs(u_prev)))
-    for it in range(max_iters):
+    for it in range(_NEWTON_MAX_ITERS):
         if norm <= _NEWTON_TOL * scale:
             return u, True, it
         slope = np.asarray(model.reaction.rate_derivative(u, x), dtype=float)
@@ -132,7 +132,7 @@ def _newton_step(
             lam *= 0.5
         else:
             return u, False, it + 1
-    return u, norm <= _NEWTON_TOL * scale, max_iters
+    return u, norm <= _NEWTON_TOL * scale, _NEWTON_MAX_ITERS
 
 
 def _advance(

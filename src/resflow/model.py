@@ -5,9 +5,10 @@ A Model bundles everything a solver step needs on a fixed interval:
   * the drift potential and its gradient,
   * positive Dirichlet boundary densities and the reservoir potential they
     induce (log density + drift at each endpoint, extended affinely inside),
-  * a reaction law together with the convex cost of running the reaction
-    channel at a given rate, its slope (a price), and the inverse map from
-    price back to rate.
+  * a reaction law, and the cost calculus built on it: the cost of running
+    the reaction channel at a given rate (the law's closed form, clipped at
+    its floor), its slope (a price), and the inverse map from price back to
+    rate.
 
 The cost is built so that its slope at the rate produced by density r equals
 the free-energy slope log r + drift; this single identity ties the transport
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .reactions import Coefficient, ReactionLaw, as_coefficient, coefficient_at
 
@@ -114,33 +114,6 @@ class FreeEnergy:
         return self.slope_inv(p, x) - 1.0
 
 
-def _hyp_plus_integral(u, alpha) -> np.ndarray:
-    """Antiderivative of log(1 + v**(1/alpha)) on [0, u], u >= 0."""
-    u = np.asarray(u, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.power(u, 1.0 / alpha)
-    hyp = special.hyp2f1(1.0, alpha, alpha + 1.0, -y)
-    return u * (np.log1p(y) - (1.0 - hyp) / alpha)
-
-
-def _hyp_minus_integral(u, alpha) -> np.ndarray:
-    """Antiderivative of log(1 - v**(1/alpha)) on [0, u], 0 <= u <= 1.
-
-    The hypergeometric form degrades right at u = 1, where the exact value
-    -(digamma(alpha + 1) + gamma) is used instead.
-    """
-    u = np.asarray(u, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    u = np.clip(u, 0.0, 1.0)
-    at_edge = u >= 1.0 - 1e-12
-    u_safe = np.where(at_edge, 0.5, u)
-    y = np.power(u_safe, 1.0 / alpha)
-    hyp = special.hyp2f1(1.0, alpha, alpha + 1.0, y)
-    inner = u_safe * (np.log1p(-y) + (hyp - 1.0) / alpha)
-    edge_value = -(special.digamma(alpha + 1.0) + np.euler_gamma)
-    return np.where(at_edge, edge_value, inner)
-
-
 @dataclass(frozen=True)
 class Model:
     """Interval model: drift, reservoir data, reaction and its cost calculus."""
@@ -202,9 +175,7 @@ class Model:
         """Convex cost of running the reaction channel at rate z.
 
         Rates below the floor return +inf; the floor itself gets the finite
-        limiting value. The registered laws evaluate in closed form (the
-        signed-power family through Gauss hypergeometric antiderivatives);
-        any other label raises ValueError.
+        limiting value. The law's closed form supplies the rest.
         """
         z = np.asarray(z, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -212,72 +183,11 @@ class Model:
         floor = self.reaction.rate_floor(x_b)
         below = z_b < floor
         z_clip = np.where(below, floor, z_b)
-        label = self.reaction.label
-        if label == "power":
-            out = self._cost_power(z_clip, x_b)
-        elif label == "log":
-            out = self._cost_log(z_clip, x_b)
-        elif label == "signed-power":
-            out = self._cost_signed_power(z_clip, x_b)
-        else:
-            raise ValueError(f"unregistered reaction law {label!r} has no closed-form cost")
+        out = self.reaction.cost(z_clip, x_b, self.drift(x_b))
         out = np.where(below, np.inf, out)
         if out.ndim == 0:
             return out[()]
         return out
-
-    def _cost_power(self, z, x) -> np.ndarray:
-        p = self.reaction.params
-        w = coefficient_at(p["w"], x)
-        beta = coefficient_at(p["beta"], x)
-        q = coefficient_at(p["q"], x)
-        v = self.drift(x)
-        one_b = 1.0 + beta
-
-        def primitive(r):
-            r = np.asarray(r, dtype=float)
-            safe = np.where(r > 0.0, r, 1.0)
-            return np.where(
-                r > 0.0,
-                w * np.power(safe, one_b) * (np.log(safe) - 1.0 / one_b + v),
-                0.0,
-            )
-
-        rho1 = np.power(np.maximum((z + q) / w, 0.0), 1.0 / one_b)
-        rho0 = np.power(q / w, 1.0 / one_b)
-        return primitive(rho1) - primitive(rho0)
-
-    def _cost_log(self, z, x) -> np.ndarray:
-        p = self.reaction.params
-        w = coefficient_at(p["w"], x)
-        q = coefficient_at(p["q"], x)
-        v = self.drift(x)
-        l1 = (z + q) / w
-        l0 = q / w
-        return w * (0.5 * (l1 * l1 - l0 * l0) + v * (l1 - l0))
-
-    def _cost_signed_power(self, z, x) -> np.ndarray:
-        p = self.reaction.params
-        w = coefficient_at(p["w"], x)
-        alpha = coefficient_at(p["alpha"], x)
-        q = coefficient_at(p["q"], x)
-        v = self.drift(x)
-        u1 = (z + q) / w  # signed offset coordinate of the target density
-        u0 = q / w
-        above = self._signed_power_branch(np.maximum(u1, 0.0), u0, alpha, v, w)
-        u1_neg = np.clip(-u1, 0.0, 1.0)
-        a_part = w * (_hyp_plus_integral(u0, alpha) + v * u0)
-        b_part = w * (_hyp_minus_integral(u1_neg, alpha) + v * u1_neg)
-        below = -(a_part + b_part)
-        return np.where(u1 >= 0.0, above, below)
-
-    @staticmethod
-    def _signed_power_branch(u1, u0, alpha, v, w) -> np.ndarray:
-        return w * (
-            _hyp_plus_integral(u1, alpha)
-            - _hyp_plus_integral(u0, alpha)
-            + v * (u1 - u0)
-        )
 
     def cost_conjugate(self, p, x) -> np.ndarray:
         """Legendre transform of the cost: p * rate_at_price(p) - cost(...)."""
@@ -307,8 +217,9 @@ def build_model(
 
     drift and boundary_density accept scalars or pairs; a scalar drift means
     a flat potential, a scalar boundary density applies to both endpoints.
-    Raises ValueError when no density produces rate zero anywhere on the
-    domain (the reaction could then never sit still and the cost calculus
+    Raises ValueError when the reaction's coefficient constraints fail
+    somewhere on the interval, when no density produces rate zero anywhere on
+    the domain (the reaction could then never sit still and the cost calculus
     would have an empty interior), or when a boundary density is not
     positive (its reservoir price would be undefined).
     """
@@ -316,6 +227,7 @@ def build_model(
     x_hi = float(x_hi)
     if not x_hi > x_lo:
         raise ValueError(f"interval is empty: ({x_lo!r}, {x_hi!r})")
+    reaction.check_coefficients(np.array([x_lo, x_hi]))
     drift_coeff = as_coefficient(drift)
     if isinstance(boundary_density, (tuple, list)):
         bd = (float(boundary_density[0]), float(boundary_density[1]))

@@ -1,8 +1,9 @@
-"""Reaction laws: monotone rate curves mapping density to net removal rate.
+"""Reaction laws: monotone rate curves and the convex cost they induce.
 
 A reaction law is the derivative data of a convex reaction potential: a
 strictly increasing rate curve rho -> rate(rho, x), its slope, its inverse,
-and its infimum as rho -> 0+. Coefficients may vary (affinely) in space.
+its infimum as rho -> 0+, and the closed-form cost of running the reaction
+channel at a given rate. Coefficients may vary (affinely) in space.
 
 Three families are registered:
 
@@ -12,6 +13,10 @@ Three families are registered:
 
 The rate floor (infimum over densities) is -q, -inf and -(w+q) respectively;
 it bounds from below how fast mass can be injected by the reaction channel.
+Each law's cost integrates its price log(density_at_rate(s)) + v from the
+zero rate, so its slope is the free-energy slope (the signed-power family
+through Gauss hypergeometric antiderivatives). One table maps each kind to
+its parameter names and builder; everything that needs either reads it.
 """
 from __future__ import annotations
 
@@ -19,11 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "Coefficient",
     "ReactionLaw",
     "REACTION_KINDS",
+    "REACTION_PARAMS",
     "as_coefficient",
     "coefficient_at",
     "make_reaction",
@@ -52,11 +59,15 @@ def coefficient_at(coeff: Coefficient, x: np.ndarray | float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReactionLaw:
-    """Strictly increasing rate curve with explicit inverse and slope.
+    """Strictly increasing rate curve with explicit inverse, slope and cost.
 
     rate(rho, x) is the net removal rate the reaction produces at density
-    rho; negative values mean mass creation. All callables broadcast over
-    numpy arrays in both arguments.
+    rho; negative values mean mass creation. cost(z, x, v) is the convex
+    cost of rate z at or above the floor, given the drift value v at x.
+    check_coefficients(x) raises ValueError unless the coefficient
+    constraints hold at the positions x; for affine coefficients the two
+    endpoints of an interval decide. All callables broadcast over numpy
+    arrays in their arguments.
     """
 
     label: str
@@ -65,6 +76,8 @@ class ReactionLaw:
     rate_derivative: Callable[..., np.ndarray] = field(repr=False)
     density_at_rate: Callable[..., np.ndarray] = field(repr=False)
     rate_floor: Callable[..., np.ndarray] = field(repr=False)
+    cost: Callable[..., np.ndarray] = field(repr=False)
+    check_coefficients: Callable[[np.ndarray], None] = field(repr=False)
 
     def canonical_key(self) -> str:
         """Deterministic string identifying the law, used in report hashes."""
@@ -75,12 +88,39 @@ class ReactionLaw:
         return ";".join(parts)
 
 
-def _require_positive(name: str, values: np.ndarray) -> None:
-    if np.any(values <= 0.0):
-        raise ValueError(f"reaction coefficient {name} must stay positive on the domain")
+def _require(holds: np.ndarray, constraint: str) -> None:
+    if not np.all(holds):
+        raise ValueError(f"reaction coefficients must satisfy {constraint} on the whole interval")
 
 
-def _make_power(w: Coefficient, beta: Coefficient, q: Coefficient) -> ReactionLaw:
+def _hyp_plus_integral(u, alpha) -> np.ndarray:
+    """Antiderivative of log(1 + v**(1/alpha)) on [0, u], u >= 0."""
+    u = np.asarray(u, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    y = np.power(u, 1.0 / alpha)
+    hyp = special.hyp2f1(1.0, alpha, alpha + 1.0, -y)
+    return u * (np.log1p(y) - (1.0 - hyp) / alpha)
+
+
+def _hyp_minus_integral(u, alpha) -> np.ndarray:
+    """Antiderivative of log(1 - v**(1/alpha)) on [0, u], 0 <= u <= 1.
+
+    The hypergeometric form degrades right at u = 1, where the exact value
+    -(digamma(alpha + 1) + gamma) is used instead.
+    """
+    u = np.asarray(u, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    u = np.clip(u, 0.0, 1.0)
+    at_edge = u >= 1.0 - 1e-12
+    u_safe = np.where(at_edge, 0.5, u)
+    y = np.power(u_safe, 1.0 / alpha)
+    hyp = special.hyp2f1(1.0, alpha, alpha + 1.0, y)
+    inner = u_safe * (np.log1p(-y) + (hyp - 1.0) / alpha)
+    edge_value = -(special.digamma(alpha + 1.0) + np.euler_gamma)
+    return np.where(at_edge, edge_value, inner)
+
+
+def _make_power(w: Coefficient, beta: Coefficient, q: Coefficient) -> dict:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
         wv, bv, qv = coefficient_at(w, x), coefficient_at(beta, x), coefficient_at(q, x)
@@ -102,17 +142,33 @@ def _make_power(w: Coefficient, beta: Coefficient, q: Coefficient) -> ReactionLa
     def rate_floor(x):
         return -coefficient_at(q, x)
 
-    return ReactionLaw(
-        label="power",
-        params={"w": w, "beta": beta, "q": q},
-        rate=rate,
-        rate_derivative=rate_derivative,
-        density_at_rate=density_at_rate,
-        rate_floor=rate_floor,
-    )
+    def cost(z, x, v):
+        wv, bv, qv = coefficient_at(w, x), coefficient_at(beta, x), coefficient_at(q, x)
+        one_b = 1.0 + bv
+
+        def primitive(r):
+            r = np.asarray(r, dtype=float)
+            safe = np.where(r > 0.0, r, 1.0)
+            return np.where(
+                r > 0.0,
+                wv * np.power(safe, one_b) * (np.log(safe) - 1.0 / one_b + v),
+                0.0,
+            )
+
+        rho1 = np.power(np.maximum((z + qv) / wv, 0.0), 1.0 / one_b)
+        rho0 = np.power(qv / wv, 1.0 / one_b)
+        return primitive(rho1) - primitive(rho0)
+
+    def check_coefficients(x):
+        _require(coefficient_at(w, x) > 0.0, "w > 0")
+        _require(1.0 + coefficient_at(beta, x) > 0.0, "1 + beta > 0")
+        _require(coefficient_at(q, x) >= 0.0, "q >= 0")
+
+    return dict(rate=rate, rate_derivative=rate_derivative, density_at_rate=density_at_rate,
+                rate_floor=rate_floor, cost=cost, check_coefficients=check_coefficients)
 
 
-def _make_log(w: Coefficient, q: Coefficient) -> ReactionLaw:
+def _make_log(w: Coefficient, q: Coefficient) -> dict:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
         return coefficient_at(w, x) * np.log(rho) - coefficient_at(q, x)
@@ -128,17 +184,20 @@ def _make_log(w: Coefficient, q: Coefficient) -> ReactionLaw:
     def rate_floor(x):
         return np.full_like(np.asarray(x, dtype=float), -np.inf)
 
-    return ReactionLaw(
-        label="log",
-        params={"w": w, "q": q},
-        rate=rate,
-        rate_derivative=rate_derivative,
-        density_at_rate=density_at_rate,
-        rate_floor=rate_floor,
-    )
+    def cost(z, x, v):
+        wv, qv = coefficient_at(w, x), coefficient_at(q, x)
+        l1 = (z + qv) / wv
+        l0 = qv / wv
+        return wv * (0.5 * (l1 * l1 - l0 * l0) + v * (l1 - l0))
+
+    def check_coefficients(x):
+        _require(coefficient_at(w, x) > 0.0, "w > 0")
+
+    return dict(rate=rate, rate_derivative=rate_derivative, density_at_rate=density_at_rate,
+                rate_floor=rate_floor, cost=cost, check_coefficients=check_coefficients)
 
 
-def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> ReactionLaw:
+def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> dict:
     def rate(rho, x):
         rho = np.asarray(rho, dtype=float)
         wv, av, qv = coefficient_at(w, x), coefficient_at(alpha, x), coefficient_at(q, x)
@@ -166,55 +225,53 @@ def _make_signed_power(w: Coefficient, alpha: Coefficient, q: Coefficient) -> Re
     def rate_floor(x):
         return -(coefficient_at(w, x) + coefficient_at(q, x))
 
-    return ReactionLaw(
-        label="signed-power",
-        params={"w": w, "alpha": alpha, "q": q},
-        rate=rate,
-        rate_derivative=rate_derivative,
-        density_at_rate=density_at_rate,
-        rate_floor=rate_floor,
-    )
+    def cost(z, x, v):
+        wv, av, qv = coefficient_at(w, x), coefficient_at(alpha, x), coefficient_at(q, x)
+        u1 = (z + qv) / wv  # signed offset coordinate of the target density
+        u0 = qv / wv
+        up = np.maximum(u1, 0.0)
+        plus0 = _hyp_plus_integral(u0, av)
+        above = wv * (_hyp_plus_integral(up, av) - plus0 + v * (up - u0))
+        u1_neg = np.clip(-u1, 0.0, 1.0)
+        a_part = wv * (plus0 + v * u0)
+        b_part = wv * (_hyp_minus_integral(u1_neg, av) + v * u1_neg)
+        below = -(a_part + b_part)
+        return np.where(u1 >= 0.0, above, below)
+
+    def check_coefficients(x):
+        _require(coefficient_at(w, x) > 0.0, "w > 0")
+        av = coefficient_at(alpha, x)
+        _require((av > 0.0) & (av <= 1.0), "0 < alpha <= 1")
+        _require(coefficient_at(q, x) >= 0.0, "q >= 0")
+
+    return dict(rate=rate, rate_derivative=rate_derivative, density_at_rate=density_at_rate,
+                rate_floor=rate_floor, cost=cost, check_coefficients=check_coefficients)
 
 
-REACTION_KINDS = ("power", "log", "signed-power")
+# kind -> (parameter names in canonical order, builder taking them by name
+# and returning the law's callables keyed by ReactionLaw field)
+_LAWS = {
+    "power": (("w", "beta", "q"), _make_power),
+    "log": (("w", "q"), _make_log),
+    "signed-power": (("w", "alpha", "q"), _make_signed_power),
+}
+REACTION_KINDS = tuple(_LAWS)
+REACTION_PARAMS = {kind: names for kind, (names, _) in _LAWS.items()}
 
 
 def make_reaction(kind: str, **params) -> ReactionLaw:
     """Build a registered reaction law.
 
     Coefficients accept a float (constant in space) or an (intercept, slope)
-    pair for affine spatial variation. Positivity of w (and of 1+beta, alpha)
-    is checked at the endpoints of a unit probe; model assembly re-validates
-    on the actual domain.
+    pair for affine spatial variation. Only the kind and the parameter names
+    are checked here; the coefficient constraints (w > 0, 1 + beta > 0,
+    0 < alpha <= 1, q >= 0) depend on the interval, so build_model checks
+    them through check_coefficients at the interval's endpoints.
     """
-    coeffs = {name: as_coefficient(value) for name, value in params.items()}
-    probe = np.array([0.0, 1.0])
-    if kind == "power":
-        expected = {"w", "beta", "q"}
-        if set(coeffs) != expected:
-            raise ValueError(f"power reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}")
-        _require_positive("w", coefficient_at(coeffs["w"], probe))
-        _require_positive("1+beta", 1.0 + coefficient_at(coeffs["beta"], probe))
-        if np.any(coefficient_at(coeffs["q"], probe) < 0.0):
-            raise ValueError("power reaction requires q >= 0")
-        return _make_power(coeffs["w"], coeffs["beta"], coeffs["q"])
-    if kind == "log":
-        expected = {"w", "q"}
-        if set(coeffs) != expected:
-            raise ValueError(f"log reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}")
-        _require_positive("w", coefficient_at(coeffs["w"], probe))
-        return _make_log(coeffs["w"], coeffs["q"])
-    if kind == "signed-power":
-        expected = {"w", "alpha", "q"}
-        if set(coeffs) != expected:
-            raise ValueError(
-                f"signed-power reaction needs exactly {sorted(expected)}, got {sorted(coeffs)}"
-            )
-        _require_positive("w", coefficient_at(coeffs["w"], probe))
-        alpha = coefficient_at(coeffs["alpha"], probe)
-        if np.any(alpha <= 0.0) or np.any(alpha > 1.0):
-            raise ValueError("signed-power reaction requires 0 < alpha <= 1")
-        if np.any(coefficient_at(coeffs["q"], probe) < 0.0):
-            raise ValueError("signed-power reaction requires q >= 0")
-        return _make_signed_power(coeffs["w"], coeffs["alpha"], coeffs["q"])
-    raise ValueError(f"unknown reaction kind {kind!r}; registered kinds: {REACTION_KINDS}")
+    if kind not in _LAWS:
+        raise ValueError(f"unknown reaction kind {kind!r}; registered kinds: {REACTION_KINDS}")
+    names, builder = _LAWS[kind]
+    if set(params) != set(names):
+        raise ValueError(f"{kind} reaction needs exactly {sorted(names)}, got {sorted(params)}")
+    coeffs = {name: as_coefficient(params[name]) for name in names}
+    return ReactionLaw(label=kind, params=coeffs, **builder(**coeffs))

@@ -60,6 +60,19 @@ def test_model_rejected_at_parse_is_a_config_error(small_cfg, capsys):
     assert "rate floor" in capsys.readouterr().err
 
 
+def test_coefficient_constraints_are_checked_on_the_model_interval(small_cfg, tmp_path, capsys):
+    # w = 1 - 0.4 x turns negative near x = 3: refused at parse
+    small_cfg.write_text(SMALL.replace("model.w = 1.0", "model.w = 1, -0.4")
+                         + "domain.x_lo = 2\ndomain.x_hi = 3\n")
+    assert main(["solve", "--config", str(small_cfg)]) == EXIT_CONFIG
+    assert "w > 0" in capsys.readouterr().err
+    # w = 1 - 1.5 x stays in [0.25, 1] on (0, 0.5): every step certifies
+    small_cfg.write_text(SMALL.replace("model.w = 1.0", "model.w = 1, -1.5")
+                         + "domain.x_hi = 0.5\n")
+    code = main(["solve", "--config", str(small_cfg), "--output", str(tmp_path / "out")])
+    assert code == EXIT_OK
+
+
 def test_value_error_inside_a_solve_is_not_a_config_error(small_cfg, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("cost slope diverges at the rate floor")

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resflow import build_model, make_reaction
+from resflow import REACTION_KINDS, build_model, make_reaction
+
+# one affine parameter set per registered law, all constraints met on [0, 1]
+AFFINE_LAWS = {
+    "power": {"w": (1.0, 0.5), "beta": (0.5, -0.3), "q": (1.0, 0.2)},
+    "log": {"w": (1.2, 0.3), "q": (0.3, 0.1)},
+    "signed-power": {"w": (1.0, 0.4), "alpha": (0.5, 0.2), "q": (0.2, 0.1)},
+}
+AFFINE_DRIFT = (0.2, -0.5)
 
 
 def test_creation_cost_closed_form_linear_rate(unit_model):
@@ -23,11 +31,35 @@ def test_creation_cost_closed_form_log_rate():
         assert model.cost(z, x) == pytest.approx(z * z / 2.0, abs=1e-12)
 
 
-def test_cost_rejects_unregistered_law():
-    law = dataclasses.replace(make_reaction("power", w=1.0, beta=0.0, q=1.0), label="custom")
-    model = build_model(0.0, 1.0, law, run_audit=False)
-    with pytest.raises(ValueError, match="custom"):
-        model.cost(np.array([0.3]), np.array([0.5]))
+def test_relabelled_law_costs_what_the_original_does():
+    z = np.linspace(-2.0, 3.0, 41)
+    x = np.linspace(0.0, 1.0, 41)
+    for kind in REACTION_KINDS:
+        law = make_reaction(kind, **AFFINE_LAWS[kind])
+        models = [build_model(0.0, 1.0, each, drift=AFFINE_DRIFT, run_audit=False)
+                  for each in (law, dataclasses.replace(law, label="custom"))]
+        assert np.array_equal(models[0].cost(z, x), models[1].cost(z, x))
+
+
+@pytest.mark.parametrize("kind", REACTION_KINDS)
+def test_cost_calculus_of_every_law(kind):
+    """cost(0) = 0, cost' = cost_slope above the floor, +inf below a finite floor."""
+    model = build_model(0.0, 1.0, make_reaction(kind, **AFFINE_LAWS[kind]),
+                        drift=AFFINE_DRIFT, run_audit=False)
+    x = np.linspace(0.05, 0.95, 7)
+    assert np.max(np.abs(model.cost(np.zeros_like(x), x))) < 1e-12
+
+    floor = model.rate_floor(x)
+    start = np.where(np.isfinite(floor), floor, -3.0)
+    eps = 1e-6
+    for offset in (0.1, 0.5, 1.5, 4.0):
+        z = start + offset
+        central = (model.cost(z + eps, x) - model.cost(z - eps, x)) / (2.0 * eps)
+        assert np.allclose(central, model.cost_slope(z, x), rtol=1e-6, atol=1e-6)
+
+    if np.all(np.isfinite(floor)):
+        assert np.all(np.isfinite(model.cost(floor, x)))
+        assert np.all(model.cost(floor - 0.1, x) == np.inf)
 
 
 def test_cost_vanishes_at_zero(drifty_model, signed_model):

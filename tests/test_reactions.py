@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resflow import build_model
 from resflow.reactions import REACTION_KINDS, make_reaction
 
 
@@ -40,8 +41,10 @@ def test_parameter_sets_are_exact(kind, params):
     ],
 )
 def test_positivity_constraints(kind, params):
-    with pytest.raises(ValueError):
-        make_reaction(kind, **params)
+    # the constraints depend on the interval, so the model checks them
+    law = make_reaction(kind, **params)
+    with pytest.raises(ValueError, match="whole interval"):
+        build_model(0.0, 1.0, law, run_audit=False)
 
 
 def test_power_rate_closed_form():
