@@ -237,13 +237,20 @@ def parse_config(text: str) -> ExperimentConfig:
     init_kind = get("initial.kind", str, "constant")
     if init_kind not in _INITIAL_KINDS:
         raise ConfigError(f"initial.kind must be one of {_INITIAL_KINDS}, got {init_kind!r}")
-    initial = InitialConfig(
-        kind=init_kind,
-        value=get("initial.value", _parse_coefficient, (1.0, 0.0)),
-        base=get("initial.base", _parse_scalar, 1.0),
-        amplitude=get("initial.amplitude", _parse_scalar, 0.1),
-        modes=get("initial.modes", _parse_int, 1),
-    )
+    # only the chosen profile's keys are read; another's is an unknown key
+    if init_kind == "constant":
+        initial = InitialConfig(kind=init_kind,
+                                value=(get("initial.value", _parse_scalar, 1.0), 0.0))
+    elif init_kind == "linear":
+        initial = InitialConfig(kind=init_kind,
+                                value=get("initial.value", _parse_coefficient, (1.0, 0.0)))
+    else:
+        initial = InitialConfig(
+            kind=init_kind,
+            base=get("initial.base", _parse_scalar, 1.0),
+            amplitude=get("initial.amplitude", _parse_scalar, 0.1),
+            modes=get("initial.modes", _parse_int, 1),
+        )
 
     output = OutputConfig(
         directory=get("output.directory", str, "."),
@@ -299,7 +306,9 @@ def render_config(cfg: ExperimentConfig) -> str:
         lines.append("scheme.tau_list = " + ", ".join(_fmt(t) for t in cfg.scheme.tau_list))
     lines.append(f"scheme.t_final = {_fmt(cfg.scheme.t_final)}")
     lines.append(f"initial.kind = {cfg.initial.kind}")
-    if cfg.initial.kind in ("constant", "linear"):
+    if cfg.initial.kind == "constant":
+        lines.append(f"initial.value = {_fmt(float(cfg.initial.value[0]))}")
+    elif cfg.initial.kind == "linear":
         lines.append(f"initial.value = {_fmt_coefficient(cfg.initial.value)}")
     else:
         lines.append(f"initial.base = {_fmt(cfg.initial.base)}")

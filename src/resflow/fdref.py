@@ -245,7 +245,6 @@ def weak_residual(
     *,
     zeta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
     zeta_second: Callable[[np.ndarray], np.ndarray] | None = None,
-    forcing: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Weak-form defect of a piecewise-constant-in-time density path.
 
@@ -294,10 +293,7 @@ def weak_residual(
         step = float(times[k + 1] - times[k])
         rho_end = np.maximum(values[k + 1], _POSITIVITY_FLOOR)
         reaction = float(np.sum(zeta * model.reaction.rate(rho_end, x)) * dx)
-        rhs = flux_term(rho_end) - reaction
-        if forcing is not None:
-            rhs += float(np.sum(zeta * forcing(float(times[k + 1]), x)) * dx)
-        total -= step * rhs
+        total -= step * (flux_term(rho_end) - reaction)
     return abs(total)
 
 

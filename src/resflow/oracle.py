@@ -8,22 +8,23 @@ after which the transport cost for ANY interior column-mass vector is an
 exact max of affine functions. Every other term is separable: the search
 coordinate of a cell (its marginal price for a fixed target, its column mass
 for an implicit step) enters only through that cell's column mass and local
-cost. The search therefore tabulates the local costs one axis at a time,
-evaluates the transport value on the full tensor grid, and refines the grid
-geometrically until two successive resolutions agree; cyclic coordinate
-line searches then polish the optimum.
+cost. The search therefore tabulates the column masses and local costs one
+axis at a time, evaluates the objective on their tensor grid as outer sums
+of per-axis terms (no mesh of points is built), and refines the grid
+geometrically until it has pinned the optimum. A final search of the
+optimum's neighbourhood at doubled resolution is the oracle's certificate:
+if it finds a value that differs by more than _SELF_CONSISTENCY_TOL, the
+oracle raises instead of answering.
 
-Every one-dimensional minimisation (the implicit step's inner
-reaction/density split and the polish line searches) is one batched
-bracketed grid search over many unimodal functions at once: the same
-brute-force convexity argument as the tensor search, vectorised over whole
-axes. The oracle certifies the fast path on instances with at most 3
-interior cells (5 nodes).
+The implicit step's inner reaction/density split is one batched bracketed
+grid search over many unimodal functions at once: the same brute-force
+convexity argument as the tensor search, vectorised over a whole axis. The
+oracle certifies the fast path on instances with at most 3 interior cells
+(5 nodes).
 """
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,12 @@ import numpy as np
 from .grid import Grid
 from .model import Model
 
-logger = logging.getLogger(__name__)
-
 __all__ = ["OracleResult", "certified_price_window", "brute_force_small"]
 
 _SELF_CONSISTENCY_TOL = 1e-7
 _N_GRID = 50          # points per axis of the tensor search
 _MAX_PASSES = 14      # passes of the tensor search
 _EXPAND_LIMIT = 8     # edge expansions of the tensor search box
-_POLISH_SWEEPS = 6    # cyclic sweeps of the coordinate polish
 _LINE_POINTS = 33     # points per row and pass of the bracketed search
 _XATOL = 1e-13        # bracket width at which the bracketed search stops
 
@@ -145,13 +143,22 @@ class _TransportValue:
         beta_row = np.minimum(q_lo + model.psi_lo, q_hi + model.psi_hi)
         beta_col = np.minimum(q_lo - model.psi_lo, q_hi - model.psi_hi)
         self.phi_verts, self.phi_star_verts = _dual_vertices(q_int, beta_row, beta_col)
-        self.mu = mu
         self._row_part = self.phi_verts @ mu  # (K,)
 
-    def value_many(self, col_masses: np.ndarray) -> np.ndarray:
-        """col_masses: (..., n) -> transport cost (...,), exact."""
-        scores = col_masses @ self.phi_star_verts.T + self._row_part
-        return np.max(scores, axis=-1)
+    def on_axes(self, cols: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Exact transport cost on the tensor grid of per-cell column masses.
+
+        cols[j] is a 1-D array of cell j's column masses. A vertex's score is
+        an outer sum of per-axis terms, and the vertices are folded in as a
+        running max, so neither the mesh of points nor a per-vertex score
+        array is ever built.
+        """
+        n_dim = len(cols)
+        best = None
+        for row, ps in zip(self._row_part, self.phi_star_verts):
+            score = sum(_along(ps[j] * c, j, n_dim) for j, c in enumerate(cols)) + row
+            best = score if best is None else np.maximum(best, score, out=best)
+        return best
 
     def argmax_vertex(self, col_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scores = self.phi_star_verts @ col_mass + self._row_part
@@ -161,6 +168,11 @@ class _TransportValue:
 
 def _grid_axes(lo: np.ndarray, hi: np.ndarray, n_pts: int) -> list[np.ndarray]:
     return [np.linspace(lo[j], hi[j], n_pts) for j in range(len(lo))]
+
+
+def _along(v: np.ndarray, j: int, n_dim: int) -> np.ndarray:
+    """The 1-D array v laid along axis j of an n_dim-dimensional tensor grid."""
+    return v.reshape([-1 if d == j else 1 for d in range(n_dim)])
 
 
 def _bracketed_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,46 +204,24 @@ def _bracketed_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
         hi = pts[rows, np.minimum(k + 1, _LINE_POINTS - 1)]
 
 
-class _SeparableObjective:
-    """Transport value of the column masses plus one local cost per cell.
+def _separable(transport: _TransportValue, cell):
+    """The objective on a tensor grid: the transport value of the column
+    masses plus one local cost per cell.
 
     cell(v, j) maps a 1-D array of values of cell j's search coordinate to
     that cell's column masses and local costs; no other cell's coordinate
-    enters either.
+    enters either. The returned on_grid(axes) gives the objective on the
+    tensor product of the axes.
     """
 
-    def __init__(self, transport: _TransportValue, cell):
-        self.transport = transport
-        self.cell = cell
-
-    def _total(self, parts) -> np.ndarray:
-        """Objective on the tensor product of the per-axis (column, local) tables."""
-        cols, local = zip(*parts)
-        mesh = np.stack(np.meshgrid(*cols, indexing="ij"), axis=-1)
-        total = self.transport.value_many(mesh)
+    def on_grid(axes: list[np.ndarray]) -> np.ndarray:
+        cols, local = zip(*(cell(axis, j) for j, axis in enumerate(axes)))
+        total = transport.on_axes(cols)
         for j, table in enumerate(local):
-            shape = [1] * len(parts)
-            shape[j] = -1
-            total = total + table.reshape(shape)
+            total += _along(table, j, len(axes))
         return total
 
-    def on_grid(self, axes: list[np.ndarray]) -> np.ndarray:
-        return self._total([self.cell(axis, j) for j, axis in enumerate(axes)])
-
-    def at(self, v: np.ndarray) -> float:
-        return float(self.on_grid([v[j:j + 1] for j in range(len(v))]).ravel()[0])
-
-    def line(self, v: np.ndarray, d: int):
-        """The objective along coordinate d through v, as a function of a
-        (1, k) array of trial values. The other cells' tables are constants
-        on that line, so each call re-evaluates cell d only."""
-        parts = [self.cell(v[j:j + 1], j) for j in range(len(v))]
-
-        def f(s: np.ndarray) -> np.ndarray:
-            parts[d] = self.cell(s.ravel(), d)
-            return self._total(parts).reshape(s.shape)
-
-        return f
+    return on_grid
 
 
 def _search_box(
@@ -294,45 +284,27 @@ def _search_box(
     return best_pt, best_val, passes, spacing, coarse
 
 
-def _coordinate_polish(line, point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cyclic exact line searches, each one _bracketed_min over [lo[d], hi[d]].
-
-    line(pt, d) is the objective along coordinate d through pt, taking a
-    (1, k) array of trial values. Bracketing is valid because the objective
-    is unimodal along every coordinate (jointly convex in the rate/mass
-    variables, and the price-to-rate map is monotone).
-    """
-    pt = point.copy()
-    for _ in range(_POLISH_SWEEPS):
-        moved = 0.0
-        for d in range(len(pt)):
-            s, _ = _bracketed_min(line(pt, d), lo[d:d + 1], hi[d:d + 1])
-            moved = max(moved, abs(float(s[0]) - pt[d]))
-            pt[d] = float(s[0])
-        if moved < _XATOL:
-            break
-    return pt
-
-
-def _minimise(objective: _SeparableObjective, lo: np.ndarray, hi: np.ndarray,
-              box_lo: np.ndarray, box_hi: np.ndarray):
-    """Tensor search from [lo, hi], coordinate polish inside [box_lo, box_hi],
-    then the self-consistency check: the final neighbourhood searched again
-    at doubled resolution. Returns (point, value, passes, coarse spacing,
+def _minimise(on_grid, lo: np.ndarray, hi: np.ndarray):
+    """Tensor search from [lo, hi], then the self-consistency check: the
+    final neighbourhood, clipped below at lo, searched again at doubled
+    resolution. Returns (point, value, passes, coarse spacing,
     self-consistency gap)."""
-    pt, val, passes, spacing, coarse = _search_box(
-        objective.on_grid, lo, hi, _N_GRID, _MAX_PASSES
-    )
-    pt = _coordinate_polish(objective.line, pt, box_lo, box_hi)
-    val = objective.at(pt)
+    pt, val, passes, spacing, coarse = _search_box(on_grid, lo, hi, _N_GRID, _MAX_PASSES)
     span = np.maximum(spacing, 1e-9)
     pt2, val2, _, _, _ = _search_box(
-        objective.on_grid, np.maximum(pt - 2 * span, box_lo), pt + 2 * span, 2 * _N_GRID, 4
+        on_grid, np.maximum(pt - 2 * span, lo), pt + 2 * span, 2 * _N_GRID, 4
     )
     gap = abs(val2 - val)
     if val2 < val:
         pt, val = pt2, val2
     return pt, val, passes, coarse, gap
+
+
+def _check_consistency(gap: float, mode: str) -> None:
+    if gap > _SELF_CONSISTENCY_TOL:
+        raise RuntimeError(
+            f"{mode} oracle self-consistency gap {gap:.3g} exceeds {_SELF_CONSISTENCY_TOL:g}"
+        )
 
 
 def brute_force_small(
@@ -356,7 +328,8 @@ def brute_force_small(
     settled bracket, converted to creation-rate units. It says how finely the
     brute force distinguished fields, and is the right yardstick for h
     agreement; the optimum value itself is sharpened well past it by the
-    continued shrinking passes and the coordinate polish.
+    continued shrinking passes. Raises RuntimeError when the doubled-resolution
+    re-search disagrees with the optimum by more than _SELF_CONSISTENCY_TOL.
     """
     n = grid.n_cells
     if n > 3:
@@ -395,11 +368,8 @@ def _solve_fixed_target(model, grid, tau, rho, transport, window):
 
     lo = np.full(n, window[0])
     hi = np.full(n, window[1])
-    pt, val, passes, coarse, gap = _minimise(
-        _SeparableObjective(transport, cell), lo, hi, lo, hi
-    )
-    if gap > _SELF_CONSISTENCY_TOL:
-        logger.warning("fixed-target oracle self-consistency gap %.3g", gap)
+    pt, val, passes, coarse, gap = _minimise(_separable(transport, cell), lo, hi)
+    _check_consistency(gap, "fixed-target")
 
     h = model.rate_at_price(pt, x)
     col = np.maximum((rho + tau * h) * dx, 0.0)
@@ -468,14 +438,10 @@ def _solve_implicit_step(model, grid, tau, mu, transport, window):
         float(np.max(model.reaction.density_at_rate(0.0, x))),
         1.0,
     )
-    zero = np.zeros(n)
     pt, val, passes, coarse, gap = _minimise(
-        _SeparableObjective(transport, cell),
-        zero, np.full(n, 3.0 * density_scale * dx),
-        zero, np.full(n, 10.0 * density_scale * dx),
+        _separable(transport, cell), np.zeros(n), np.full(n, 3.0 * density_scale * dx)
     )
-    if gap > _SELF_CONSISTENCY_TOL:
-        logger.warning("implicit-step oracle self-consistency gap %.3g", gap)
+    _check_consistency(gap, "implicit-step")
 
     h = np.empty(n)
     rho = np.empty(n)

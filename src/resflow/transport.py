@@ -589,8 +589,6 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
 
 
 def _as_mass(mu, grid: Grid) -> np.ndarray:
-    if isinstance(mu, Density):
-        return np.asarray(mu.cell_mass, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (grid.n_cells,):
         raise ValueError(f"expected {grid.n_cells} cell masses, got shape {mu.shape}")
@@ -655,8 +653,8 @@ def solve_fixed_target(
 ) -> TransportSolution:
     """Step cost between a source and a prescribed target density.
 
-    mu gives interior source cell masses (or a Density); rho the target cell
-    densities. The creation field is eliminated through the column marginal:
+    mu gives interior source cell masses; rho the target cell densities.
+    The creation field is eliminated through the column marginal:
     h_i = (column mass_i / dx - rho_i) / tau. When the polish gap of the
     last candidate stays above its bound, that candidate is returned with
     converged=False; a step that yields no candidate raises StepFailure.

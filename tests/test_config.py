@@ -70,6 +70,9 @@ def test_render_default_round_trips():
         ("model.reaction = exotic", "model.reaction"),
         ("model.boundary_density = -1", "boundary_density"),
         ("initial.kind = bump", "initial.kind"),
+        ("initial.kind = constant\ninitial.value = 1.0, 5.0", "initial.value"),
+        ("initial.kind = linear\ninitial.amplitude = 0.7", "unknown key"),
+        ("initial.kind = sine\ninitial.value = 1.0", "unknown key"),
         ("no_equals_here", "key = value"),
         ("mystery.key = 1", "unknown key"),
         ("domain.n_cells = 8\ndomain.n_cells = 9", "duplicate"),

@@ -1,7 +1,10 @@
 """Reference optimizer sanity: tiny instances with hand-checkable answers."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from resflow import oracle
 from resflow import (
     brute_force_small,
     build_grid,
@@ -63,7 +66,7 @@ def test_production_solver_matches_reference(n, signed_model):
     assert sol.converged
     assert sol.objective == pytest.approx(ref.value, abs=1e-6)
     assert np.max(np.abs(sol.h - ref.h)) <= ref.h_resolution
-    # The polished reference pins h far below its enumeration granularity.
+    # The shrinking passes pin h far below the enumeration granularity.
     assert np.max(np.abs(sol.h - ref.h)) <= 1e-6
 
 
@@ -95,3 +98,29 @@ def test_reference_result_is_internally_consistent(unit_model):
     assert np.allclose(ref.col_mass, (ref.rho + 0.15 * ref.h) * grid.cell_width,
                        atol=1e-9)
     assert ref.self_consistency_gap <= 1e-7
+
+
+@pytest.mark.parametrize("fixed_target, mode", [(True, "fixed-target"), (False, "implicit-step")])
+def test_failed_self_consistency_raises(unit_model, monkeypatch, fixed_target, mode):
+    grid = build_grid(0.0, 1.0, 1)
+    rho = np.array([1.1])
+    mu = np.array([0.9]) * grid.cell_width
+    monkeypatch.setattr(oracle, "_SELF_CONSISTENCY_TOL", -1.0)
+    with pytest.raises(RuntimeError, match=f"{mode} oracle self-consistency gap"):
+        brute_force_small(unit_model, grid, 0.1, mu, rho=rho if fixed_target else None)
+
+
+def test_three_cell_search_memory_is_bounded(drifty_model):
+    """The tensor search never materialises a mesh of points or a per-vertex
+    score array: one 3-cell call per mode stays well under 64 MB traced."""
+    grid = build_grid(0.0, 1.0, 3)
+    mu = np.array([0.8, 1.3, 1.0]) * grid.cell_width
+    rho = np.array([1.2, 0.7, 1.1])
+    for target in (rho, None):
+        tracemalloc.start()
+        try:
+            brute_force_small(drifty_model, grid, 0.15, mu, rho=target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"rho={target}: traced peak {peak / 2**20:.1f} MB"

@@ -49,6 +49,19 @@ def test_density_wrapper_roundtrip(grid8):
         Density(cell_mass=np.array([-0.1, 1.0]), cell_width=0.5)
 
 
+@pytest.mark.parametrize("cell_mass, cell_width", [
+    (np.full(5, 0.2), 0.2),     # too few cells for the grid
+    (np.full(8, 0.125), 0.5),   # right count, wrong cell width
+])
+def test_solves_take_cell_masses_not_densities(unit_model, grid8, cell_mass, cell_width):
+    """A Density is not an array of cell masses; no solve unwraps it unchecked."""
+    wrapped = Density(cell_mass=cell_mass, cell_width=cell_width)
+    with pytest.raises(TypeError):
+        solve_fixed_target(unit_model, grid8, 0.1, wrapped, np.ones(grid8.n_cells))
+    with pytest.raises(TypeError):
+        solve_jko_step(unit_model, grid8, 0.1, wrapped)
+
+
 def test_stationary_step_is_exact_fixed_point(unit_model, grid16):
     mu = np.ones(grid16.n_cells) * grid16.cell_width
     sol = solve_jko_step(unit_model, grid16, 0.1, mu)
