@@ -91,12 +91,15 @@ def _cmd_solve(args) -> int:
     io.write_trajectory_csv(path, traj, model)
 
     check = flow.barrier_check(traj)
-    worst = {key: max(abs(sol.residuals[key]) for sol in traj.solutions[1:])
+    steps = traj.solutions[1:]
+    worst = {key: max(abs(sol.residuals[key]) for sol in steps)
              for key in ("polish_gap", "kkt_kappa", "concavity_gap", "support_slack")}
+    lp = (f"{max(sol.stats['lp_arcs'] for sol in steps)} arcs max, "
+          f"{sum(sol.stats['pricing_rounds'] for sol in steps)} pricing rounds")
     sections = {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "run": {"steps": traj.n_steps, "tau": traj.tau, "t_final": traj.t_final,
-                "trajectory": str(path)},
+                "trajectory": str(path), "lp": lp},
         "energy": {"initial": float(traj.energies[0]), "final": float(traj.energies[-1]),
                    "total_step_cost": float(np.sum(traj.step_costs))},
         "barriers": {"ok": check.ok, "worst_margin": check.worst_margin,

@@ -12,11 +12,16 @@ free energy (implicit step of the minimizing-movement scheme).
 
 Architecture: the column masses are the only coupling between the plan and
 the reaction/energy terms, and their eliminated per-column cost is convex.
-A joint LP over the admissible arcs and piecewise-linear column costs is
+A joint LP over transport arcs and piecewise-linear column costs is
 re-solved with breakpoint windows that shrink around its optimum; the first
 windows are centred on the masses required at a seed price (the zero-rate
-price on a cold step, the previous step's prices on a warm one). The
-identified support is snapped to machine precision by the reduced
+price on a cold step, the previous step's prices on a warm one). The LP
+carries only a shortlist of arcs: a band of about one step's displacement
+around the diagonal plus every cell-wall arc. After each solve the LP duals
+price every excluded arc, and arcs with negative reduced cost join the
+shortlist until none is left, so each LP optimum is the optimum over all
+admissible arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV
+2016). The identified support is snapped to machine precision by the reduced
 optimality system: duals are read off a breadth-first spanning forest of the
 support graph, as in network simplex, and arc masses off an NNLS fit of the
 same incidence matrix the LP uses. The duals are then made exactly feasible
@@ -31,6 +36,7 @@ the marginal-cost identities hold by construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -128,8 +134,11 @@ class TransportSolution:
     gamma rows/cols are ordered interior-then-walls as in CostMatrix. phi and
     phi_star carry the wall values pinned to +/- the reservoir potential in
     their last two slots. kappa is the dual offset of the price identity;
-    iterations counts the joint-LP rounds of the polish; residuals holds
-    named convergence measures.
+    iterations counts the breakpoint-refinement rounds of the polish;
+    residuals holds named convergence measures. stats counts what the step
+    did: lp_rounds (LP solves, pricing re-solves included), lp_arcs (the
+    largest arc count of those LPs) and pricing_rounds (re-solves after
+    dual pricing added arcs to the shortlist).
     """
 
     gamma: np.ndarray
@@ -143,6 +152,7 @@ class TransportSolution:
     converged: bool
     iterations: int
     residuals: dict[str, float] = field(compare=False)
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
     diagnostics: Any = field(default=None, compare=False)
 
     @property
@@ -414,43 +424,74 @@ def _xi_table(kern: _Kernel, breaks: np.ndarray) -> np.ndarray:
     return xi.reshape(n, b)
 
 
-def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarray):
-    """One LP over plans and piecewise-linearized column costs.
+def _band_cells(tau: float, dx: float) -> int:
+    """Half-width, in cells, of the interior arcs a step's first LP carries.
 
-    Variables are the admissible arcs plus, per column, the segment fills of
+    tau/dx is about the largest displacement of a step in cells; the margin
+    of two cells covers the rest, so pricing rarely has to add an arc.
+    """
+    return 2 + math.ceil(tau / dx)
+
+
+def _tight_tol(cost: CostMatrix) -> float:
+    """Reduced-cost tolerance below which an arc counts as tight or violated."""
+    q = cost.quad
+    return 1e-9 * (1.0 + float(np.max(np.abs(q[np.isfinite(q)]))))
+
+
+def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarray,
+              mask: np.ndarray):
+    """One LP over plans and piecewise-linearized column costs, certified globally.
+
+    Variables are the arcs of mask plus, per column, the segment fills of
     the linearized cost; column balance ties arc inflow to the base mass
-    plus the fills. Returns the plan part and the optimal column masses.
+    plus the fills. The LP is solved on the shortlist mask, and every
+    excluded arc is priced with its duals: an arc whose reduced cost
+    tilde_ij - u_i - v_j lies below -tol joins the mask (in place, so it
+    persists into later rounds) and the LP is solved again. Once no arc is
+    left, the shortlist optimum is the optimum over all admissible arcs.
+    Returns the plan part, the optimal column masses, the number of pricing
+    re-solves and the arc count of the last (largest) solve.
     """
     n = cost.n_cells
-    allowed = ~cost.forbidden
-    idx_r, idx_c = np.nonzero(allowed)
-    n_arcs = len(idx_r)
     k = breaks.shape[1] - 1
     widths = np.diff(breaks, axis=1)
     widths = np.maximum(widths, 1e-300)
     slopes = np.diff(xi, axis=1) / widths
-
-    c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
     fills = sparse.vstack([sparse.csr_matrix((n, n * k)),
                            sparse.kron(sparse.eye(n), -np.ones((1, k)))])
-    a_eq = sparse.hstack([_incidence(n, idx_r, idx_c), fills], format="csr")
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
-    bounds = np.zeros((n_arcs + n * k, 2))
-    bounds[:n_arcs, 1] = np.inf
-    bounds[n_arcs:, 1] = widths.reshape(-1)
-    res = linprog(
-        c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise StepFailure("joint_lp", res.status, f"joint refinement LP: {res.message}")
+    tol = _tight_tol(cost)
+    pricing = 0
+    while True:
+        idx_r, idx_c = np.nonzero(mask)
+        n_arcs = len(idx_r)
+        c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
+        a_eq = sparse.hstack([_incidence(n, idx_r, idx_c), fills], format="csr")
+        bounds = np.zeros((n_arcs + n * k, 2))
+        bounds[:n_arcs, 1] = np.inf
+        bounds[n_arcs:, 1] = widths.reshape(-1)
+        res = linprog(
+            c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        if not res.success:
+            raise StepFailure("joint_lp", res.status, f"joint refinement LP: {res.message}")
+        # walls carry no balance row, so their dual is zero
+        u = np.r_[res.eqlin.marginals[:n], 0.0, 0.0]
+        v = np.r_[res.eqlin.marginals[n:], 0.0, 0.0]
+        entering = ~mask & (cost.tilde - u[:, None] - v[None, :] < -tol)
+        if not np.any(entering):
+            break
+        mask |= entering
+        pricing += 1
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
     m_star = breaks[:, 0] + res.x[n_arcs:].reshape(n, k).sum(axis=1)
-    return gamma, m_star
+    return gamma, m_star, pricing, n_arcs
 
 
 def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
@@ -462,11 +503,20 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     windows converges globally to the step optimum from any seed. The
     identified support is then snapped to machine precision by the reduced
     optimality system, and the candidate's verified primal-dual gap
-    certifies the result. Returns the last candidate assembled and the LP
-    rounds run; StepFailure(lp_rounds) if no round settled inside its
-    window, so no candidate was assembled.
+    certifies the result. Every LP runs on one arc shortlist, a band of
+    _band_cells around the diagonal plus the wall arcs, which dual pricing
+    extends whenever an excluded arc would improve an LP; the extension
+    persists across rounds. Returns the last candidate assembled, the
+    refinement rounds run and the step's LP counters (see
+    TransportSolution); StepFailure(lp_rounds) if no round settled inside
+    its window, so no candidate was assembled.
     """
     n = cost.n_cells
+    # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
+    mask = ~cost.forbidden
+    cells = np.arange(n)
+    mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
+    stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0}
 
     # breakpoint windows around the seed masses, clipped to feasible masses
     if kern.jko:
@@ -485,7 +535,10 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     for rnd in range(40):
         breaks = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
         xi = _xi_table(kern, breaks)
-        gamma_joint, m_star = _joint_lp(kern, cost, breaks, xi)
+        gamma_joint, m_star, pricing, n_arcs = _joint_lp(kern, cost, breaks, xi, mask)
+        stats["lp_rounds"] += 1 + pricing
+        stats["pricing_rounds"] += pricing
+        stats["lp_arcs"] = max(stats["lp_arcs"], n_arcs)
         seg = (hi - lo) / k
         at_lo = (m_star <= lo + 0.5 * seg) & (lo > m_min + 1e-300)
         at_hi = m_star >= hi - 0.5 * seg
@@ -502,7 +555,7 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     if cand is None:
         raise StepFailure("lp_rounds", rnd + 1,
                           "breakpoint refinement assembled no candidate")
-    return cand, rnd + 1
+    return cand, rnd + 1, stats
 
 
 def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
@@ -553,7 +606,7 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     )
 
     # support: plan arcs plus everything tight for the assembled duals
-    tight_tol = 1e-9 * (1.0 + float(np.max(np.abs(q[np.isfinite(q)]))))
+    tight_tol = _tight_tol(cost)
     support = (gamma_joint > _MASS_FLOOR_FACTOR * mass_scale) & allowed
     support[:n, :n] |= (q[:n, :n] - phi_m[:, None] - ps_m[None, :]) <= tight_tol
     support[:n, n:] |= (q[:n, n:] + psi[None, :] - phi_m[:, None]) <= tight_tol
@@ -614,7 +667,7 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         if phi_star.shape != (n,):
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
-    (gamma, h, rho, phi_i, ps_i, primal_value, objective, gap), rounds = \
+    (gamma, h, rho, phi_i, ps_i, primal_value, objective, gap), rounds, stats = \
         _polish(kern, cost, phi_star)
 
     phi_full = np.concatenate([phi_i, [model.psi_lo, model.psi_hi]])
@@ -640,6 +693,7 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         converged=gap <= 1e-8,
         iterations=rounds,
         residuals=residuals,
+        stats=stats,
     )
 
 

@@ -87,6 +87,7 @@ def test_criterion_1_oracle_equivalence():
     ]
     worst_value = 0.0
     worst_h = 0.0
+    worst_h_raw = 0.0
     trials = 24
     for trial in range(trials):
         kind, params = presets[trial % 3]
@@ -112,13 +113,17 @@ def test_criterion_1_oracle_equivalence():
             sol = solve_jko_step(model, grid, tau, mu)
             value = sol.objective
         assert sol.converged, f"trial {trial} did not converge: {sol.residuals}"
+        h_gap = float(np.max(np.abs(sol.h - ref.h)))
         worst_value = max(worst_value, abs(value - ref.value))
-        worst_h = max(worst_h, float(np.max(np.abs(sol.h - ref.h)))
-                      - ref.h_resolution)
-    ok = worst_value <= 1e-6 and worst_h <= 1e-8
+        worst_h = max(worst_h, h_gap - ref.h_resolution)
+        worst_h_raw = max(worst_h_raw, h_gap)
+    # the oracle's h resolution is 5e-3 to 2e-1 here, so the excess alone
+    # would pass an h error of 1e-3; the raw gap is held to verify's bound
+    ok = worst_value <= 1e-6 and worst_h <= 1e-8 and worst_h_raw <= 1e-4
     _verdict(1, "oracle equivalence", ok,
              f"{trials} instances, worst value gap {worst_value:.3e} (tol 1e-6), "
-             f"worst h excess over oracle resolution {worst_h:.3e}")
+             f"worst h excess over oracle resolution {worst_h:.3e}, "
+             f"worst h gap {worst_h_raw:.3e} (tol 1e-4)")
     assert ok
 
 

@@ -41,6 +41,8 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert "barriers" in report
     assert (out / "report.txt").read_text() == report
     assert "support_slack" in report
+    # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs
+    assert "76 arcs max, 0 pricing rounds\n" in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
