@@ -95,7 +95,8 @@ def _cmd_solve(args) -> int:
     worst = {key: max(abs(sol.residuals[key]) for sol in steps)
              for key in ("polish_gap", "kkt_kappa", "concavity_gap", "support_slack")}
     lp = (f"{max(sol.stats['lp_arcs'] for sol in steps)} arcs max, "
-          f"{sum(sol.stats['pricing_rounds'] for sol in steps)} pricing rounds")
+          f"{sum(sol.stats['pricing_rounds'] for sol in steps)} pricing rounds, "
+          f"{sum(sol.stats['rejected_candidates'] for sol in steps)} rejected candidates")
     sections = {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "run": {"steps": traj.n_steps, "tau": traj.tau, "t_final": traj.t_final,
@@ -184,8 +185,7 @@ def _cmd_audit(args) -> int:
     rows = {}
     for check in audit.checks:
         verdict = "pass" if check.ok else "FAIL"
-        note = f"  ({check.note})" if check.note else ""
-        rows[check.check_id] = f"{verdict}  worst={check.worst:.6g}{note}"
+        rows[check.check_id] = f"{verdict}  worst={check.worst:.6g}"
     sys.stdout.write(io.emit_report("model assumption audit", {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "constants": {"s": audit.s, "s1": audit.s1, "b0": audit.b0, "c0": audit.c0},

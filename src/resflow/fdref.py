@@ -36,8 +36,6 @@ class FDSolution:
     grid: Grid
     times: np.ndarray
     values: np.ndarray
-    boundary_lo: float
-    boundary_hi: float
     max_newton_iters: int
     halvings_used: int
 
@@ -214,8 +212,6 @@ def solve_fd(
         grid=grid,
         times=np.arange(n_steps + 1) * dt,
         values=values,
-        boundary_lo=model.boundary_density[0],
-        boundary_hi=model.boundary_density[1],
         max_newton_iters=worst_iters,
         halvings_used=worst_depth,
     )

@@ -48,7 +48,6 @@ class AuditCheck:
     check_id: str
     ok: bool
     worst: float
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class ModelAudit:
     """
 
     lip_drift: float
-    lip_reservoir: float
-    lip_boundary_density: float
     s: float
     s1: float
     b0: float
@@ -143,10 +140,6 @@ class Model:
         x = np.asarray(x, dtype=float)
         t = (x - self.x_lo) / (self.x_hi - self.x_lo)
         return self.psi_lo + t * (self.psi_hi - self.psi_lo)
-
-    @property
-    def reservoir_lipschitz(self) -> float:
-        return abs(self.psi_hi - self.psi_lo) / (self.x_hi - self.x_lo)
 
     # -- reaction-cost calculus ----------------------------------------
 
@@ -407,11 +400,8 @@ def validate_assumptions(model: Model) -> ModelAudit:
         float(np.max(np.abs(model.reaction.rate(np.maximum(s1, 1e-12), xs)))),
     )
 
-    lip_rho = abs(bd_hi - bd_lo) / (model.x_hi - model.x_lo)
     audit = ModelAudit(
         lip_drift=abs(model.drift_coeff[1]),
-        lip_reservoir=model.reservoir_lipschitz,
-        lip_boundary_density=lip_rho,
         s=s,
         s1=s1,
         b0=b0,

@@ -13,26 +13,29 @@ free energy (implicit step of the minimizing-movement scheme).
 Architecture: the column masses are the only coupling between the plan and
 the reaction/energy terms, and their eliminated per-column cost is convex.
 A joint LP over transport arcs and piecewise-linear column costs is
-re-solved with breakpoint windows that shrink around its optimum; the first
-windows are centred on the masses required at a seed price (the zero-rate
-price on a cold step, the previous step's prices on a warm one). The LP
-carries only a shortlist of arcs: a band of about one step's displacement
-around the diagonal plus every cell-wall arc. After each solve the LP duals
-price every excluded arc, and arcs with negative reduced cost join the
-shortlist until none is left, so each LP optimum is the optimum over all
-admissible arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV
-2016). The identified support is snapped to machine precision by the reduced
-optimality system: duals are read off a breadth-first spanning forest of the
-support graph, as in network simplex, and arc masses off an NNLS fit of the
-same incidence matrix the LP uses. The duals are then made exactly feasible
-by a double c-transform, and the verified primal-dual gap certifies the
-step; there is no fallback: a step returns its last assembled candidate,
+re-solved with breakpoint windows that shrink around its optimum. The
+breakpoints are prices, whose column masses and costs are explicit; the
+first windows are centred on a seed price (the zero-rate price on a cold
+step, the previous step's prices on a warm one). The LP carries only a
+shortlist of arcs: a band of about one step's displacement around the
+diagonal plus every cell-wall arc. After each solve the LP duals price
+every excluded arc, and arcs with negative reduced cost join the shortlist
+until none is left, so each LP optimum is the optimum over all admissible
+arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). The
+support of the LP plan, a spanning forest as every basic transportation
+plan is (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 3.4),
+is snapped to machine precision by the reduced optimality system: duals are
+read off a breadth-first spanning forest of the support graph, as in network
+simplex, and arc masses off an NNLS fit of the same incidence matrix the LP
+uses. The duals are then made exactly feasible by a double c-transform, and
+the verified primal-dual gap certifies the step. A candidate whose support
+cannot carry or balance the marginals is rejected like one whose gap is too
+large; there is no fallback: a step returns its last assembled candidate,
 whose gap decides `converged`, or raises StepFailure naming the failed
-certificate. Every inversion of the monotone column-mass law (breakpoint
-costs, prices of the refined masses, the balance gauge of unpinned support
-components) goes through one vectorized bisection. The creation field and
-(for implicit steps) the density are defined through the dual prices, so
-the marginal-cost identities hold by construction.
+certificate. The one bisection serves the balance gauge of support
+components no wall arc pins. The creation field and (for implicit steps)
+the density are defined through the dual prices, so the marginal-cost
+identities hold by construction.
 """
 from __future__ import annotations
 
@@ -137,8 +140,10 @@ class TransportSolution:
     iterations counts the breakpoint-refinement rounds of the polish;
     residuals holds named convergence measures. stats counts what the step
     did: lp_rounds (LP solves, pricing re-solves included), lp_arcs (the
-    largest arc count of those LPs) and pricing_rounds (re-solves after
-    dual pricing added arcs to the shortlist).
+    largest arc count of those LPs), pricing_rounds (re-solves after dual
+    pricing added arcs to the shortlist) and rejected_candidates (candidates
+    assembled and discarded because their gap was too large or their support
+    could not carry or balance the marginals).
     """
 
     gamma: np.ndarray
@@ -173,7 +178,8 @@ class StepFailure(RuntimeError):
 
     certificate names the failed check (joint_lp, reduced_residual,
     lp_rounds, polish_gap or price_root), value is what it measured, and
-    context says where the step ran.
+    context says where the step ran. A step raises reduced_residual or
+    price_root only when the last candidate it assembled failed that way.
     """
 
     def __init__(self, certificate: str, value: float, context: str = "exact step"):
@@ -226,10 +232,13 @@ class _Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(np.clip(-t - self.v[cols], -_EXP_CAP, _EXP_CAP))
 
+    def col_mass(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Column mass that holds density rho and feeds the creation rate h."""
+        return (rho + self.tau * h) * self.dx
+
     def col_target(self, t: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Required mass of the listed columns when their potential equals t."""
-        h = self.model.rate_at_price(-t, self.x[cols])
-        return (self.rho_at(t, cols) + self.tau * h) * self.dx
+        return self.col_mass(self.rho_at(t, cols), self.model.rate_at_price(-t, self.x[cols]))
 
 
 def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
@@ -396,32 +405,26 @@ def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
     return phi, ps, gamma, resid
 
 
-def _xi_table(kern: _Kernel, breaks: np.ndarray) -> np.ndarray:
-    """Exact per-column convex cost of holding a given column mass.
+def _xi_table(kern: _Kernel, prices: np.ndarray):
+    """Column mass and exact column cost at each breakpoint price.
 
-    For a prescribed target the creation field is eliminated directly; for
-    an implicit step the split between held density and creation is itself
-    optimized, which reduces to the price root at each mass (the same
-    marginal-price identity the whole scheme rests on).
+    A column priced at t holds the density rho(t) and feeds the rate h(t) =
+    rate at price -t, so its mass is (rho(t) + tau h(t)) dx and its cost
+    tau dx cost(h(t)), plus dx E(rho(t)) on an implicit step: explicit in
+    the price, so no breakpoint needs a root. The mass falls as the price
+    rises, and costs interpolated at any masses form a convex
+    piecewise-linear cost.
     """
-    n, b = breaks.shape
-    x_t = np.repeat(kern.x, b)
-    flat = breaks.reshape(-1)
+    n, b = prices.shape
+    cols = np.repeat(np.arange(n), b)
+    t = prices.reshape(-1)
+    x_t = kern.x[cols]
+    rho = kern.rho_at(t, cols)
+    h = kern.model.rate_at_price(-t, x_t)
+    xi = kern.tau * kern.dx * kern.model.cost(h, x_t)
     if kern.jko:
-        cols = np.repeat(np.arange(n), b)
-        t = _decreasing_root(lambda p: kern.col_target(p, cols), flat, kern.total_mass)
-        rho = kern.rho_at(t, cols)
-        # the price form of the rate cannot dip below the floor by rounding,
-        # unlike the mass-balance form
-        h = kern.model.rate_at_price(-t, x_t)
-        xi = kern.dx * kern.model.free_energy.density(rho, x_t) \
-            + kern.tau * kern.dx * kern.model.cost(h, x_t)
-    else:
-        rho_t = np.repeat(kern.rho_target, b)
-        h = (flat / kern.dx - rho_t) / kern.tau
-        h = np.maximum(h, np.nextafter(kern.model.rate_floor(x_t), np.inf))
-        xi = kern.tau * kern.dx * kern.model.cost(h, x_t)
-    return xi.reshape(n, b)
+        xi = xi + kern.dx * kern.model.free_energy.density(rho, x_t)
+    return kern.col_mass(rho, h).reshape(n, b), xi.reshape(n, b)
 
 
 def _band_cells(tau: float, dx: float) -> int:
@@ -434,7 +437,7 @@ def _band_cells(tau: float, dx: float) -> int:
 
 
 def _tight_tol(cost: CostMatrix) -> float:
-    """Reduced-cost tolerance below which an arc counts as tight or violated."""
+    """Reduced-cost tolerance below which an excluded arc counts as violated."""
     q = cost.quad
     return 1e-9 * (1.0 + float(np.max(np.abs(q[np.isfinite(q)]))))
 
@@ -450,8 +453,9 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     tilde_ij - u_i - v_j lies below -tol joins the mask (in place, so it
     persists into later rounds) and the LP is solved again. Once no arc is
     left, the shortlist optimum is the optimum over all admissible arcs.
-    Returns the plan part, the optimal column masses, the number of pricing
-    re-solves and the arc count of the last (largest) solve.
+    Returns the plan part, each column's optimum as a position in segments
+    counted from its first breakpoint, the number of pricing re-solves and
+    the arc count of the last (largest) solve.
     """
     n = cost.n_cells
     k = breaks.shape[1] - 1
@@ -490,8 +494,8 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         pricing += 1
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
-    m_star = breaks[:, 0] + res.x[n_arcs:].reshape(n, k).sum(axis=1)
-    return gamma, m_star, pricing, n_arcs
+    pos = np.sum(res.x[n_arcs:].reshape(n, k) / widths, axis=1)
+    return gamma, pos, pricing, n_arcs
 
 
 def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
@@ -499,59 +503,65 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
 
     The column masses are the only coupling between the plan and the
     reaction/energy terms, and their eliminated cost is convex, so a
-    piecewise-linear joint LP with geometrically shrinking breakpoint
-    windows converges globally to the step optimum from any seed. The
-    identified support is then snapped to machine precision by the reduced
-    optimality system, and the candidate's verified primal-dual gap
-    certifies the result. Every LP runs on one arc shortlist, a band of
-    _band_cells around the diagonal plus the wall arcs, which dual pricing
-    extends whenever an excluded arc would improve an LP; the extension
-    persists across rounds. Returns the last candidate assembled, the
-    refinement rounds run and the step's LP counters (see
-    TransportSolution); StepFailure(lp_rounds) if no round settled inside
-    its window, so no candidate was assembled.
+    piecewise-linear joint LP converges globally to the step optimum from
+    any seed as its breakpoints close in. The breakpoints are prices: each
+    column's window starts at the seed price +/- 1 and is then centred on
+    the LP optimum, read off its segment fills and mapped linearly onto the
+    active segment's price bracket; it shrinks fourfold, or grows threefold
+    when the optimum sits in an end segment. Every LP whose optimum settles
+    inside its windows hands its plan to _assemble_candidate; a candidate
+    whose support cannot carry or balance the marginals is rejected like
+    one whose gap is too large, and the rounds go on. Every LP runs on one
+    arc shortlist, a band of _band_cells around the diagonal plus the wall
+    arcs, which dual pricing extends whenever an excluded arc would improve
+    an LP; the extension persists across rounds. Returns the last candidate
+    assembled, the refinement rounds run and the step's counters (see
+    TransportSolution). Raises the StepFailure of the last candidate if it
+    failed, and StepFailure(lp_rounds) if no round settled inside its
+    windows, so no candidate was assembled.
     """
     n = cost.n_cells
     # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
     mask = ~cost.forbidden
     cells = np.arange(n)
     mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
-    stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0}
+    stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0}
 
-    # breakpoint windows around the seed masses, clipped to feasible masses
-    if kern.jko:
-        m_min = np.zeros(n)
-    else:
-        floor_mass = (kern.rho_target + kern.tau * kern.model.rate_floor(kern.x)) * kern.dx
-        m_min = np.maximum(floor_mass * (1.0 + 1e-10) + 1e-300, 0.0)
-    m_seed = np.maximum(kern.col_target(phi_star), m_min)
-    cell_scale = max(kern.total_mass, 1e-300) / max(n, 1)
-    half = np.maximum(0.5 * m_seed, cell_scale)
-    lo = np.maximum(m_seed - half, m_min)
-    hi = np.maximum(m_seed + half, lo + cell_scale)
     k = 12
-    target_width = 1e-11 * cell_scale
-    cand = None
+    target_width = 1e-11  # price windows this narrow have settled
+    lo = phi_star - 1.0
+    hi = phi_star + 1.0
+    cand = failure = None
     for rnd in range(40):
-        breaks = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
-        xi = _xi_table(kern, breaks)
-        gamma_joint, m_star, pricing, n_arcs = _joint_lp(kern, cost, breaks, xi, mask)
+        # prices fall along a row, so the breakpoint masses rise
+        prices = hi[:, None] - (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
+        breaks, xi = _xi_table(kern, prices)
+        gamma_joint, pos, pricing, n_arcs = _joint_lp(kern, cost, breaks, xi, mask)
         stats["lp_rounds"] += 1 + pricing
         stats["pricing_rounds"] += pricing
         stats["lp_arcs"] = max(stats["lp_arcs"], n_arcs)
         seg = (hi - lo) / k
-        at_lo = (m_star <= lo + 0.5 * seg) & (lo > m_min + 1e-300)
-        at_hi = m_star >= hi - 0.5 * seg
-        grow = at_lo | at_hi
-        if not np.any(grow) and rnd >= 1:
-            cand = _assemble_candidate(kern, cost, gamma_joint, m_star, m_min)
-            if cand[-1] <= 1e-10 * (1.0 + abs(cand[-2])):
+        grow = (pos <= 0.5) | (pos >= k - 0.5)
+        if not np.any(grow):
+            # a new candidate supersedes, and so rejects, the last one
+            if cand is not None or failure is not None:
+                stats["rejected_candidates"] += 1
+            try:
+                cand, failure = _assemble_candidate(kern, cost, gamma_joint), None
+            except StepFailure as exc:
+                if exc.certificate not in ("reduced_residual", "price_root"):
+                    raise
+                cand, failure = None, exc
+            if cand is not None and cand[-1] <= 1e-10 * (1.0 + abs(cand[-2])):
                 break
-        if not np.any(grow) and np.all((hi - lo) <= target_width):
-            break
-        width = np.where(grow, (hi - lo) * 3.0, np.maximum(3.0 * seg, target_width))
-        lo = np.maximum(m_star - 0.5 * width, m_min)
-        hi = np.maximum(m_star + 0.5 * width, lo + target_width)
+            if np.all(hi - lo <= target_width):
+                break
+        centre = hi - seg * pos
+        width = np.where(grow, 3.0 * (hi - lo), np.maximum(3.0 * seg, target_width))
+        lo = centre - 0.5 * width
+        hi = centre + 0.5 * width
+    if failure is not None:
+        raise failure
     if cand is None:
         raise StepFailure("lp_rounds", rnd + 1,
                           "breakpoint refinement assembled no candidate")
@@ -570,18 +580,19 @@ def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
     return val
 
 
-def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray,
-                        m_star: np.ndarray, m_min: np.ndarray):
-    """Exact solution candidate at refined masses, with its duality gap.
+def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray):
+    """Exact solution candidate on the LP plan's support, with its duality gap.
 
-    Seed prices are read off the mass roots; the plan support (augmented
-    with every near-tight arc for those prices, so degenerate ties cannot
-    pair a plan with foreign duals) is snapped through the reduced system,
-    which defines the plan, prices, density and creation field of the
-    candidate. A reduced solve that cannot carry the marginals raises
-    StepFailure(reduced_residual). Potentials are made exactly feasible by
-    a double c-transform, and the verified primal-dual gap certifies the
-    candidate: at a true optimum it vanishes to rounding.
+    The arcs of the LP plan above the mass floor form the support. A basic
+    optimal plan of a transportation LP is a spanning forest, so this
+    support is a forest whenever the walls count as one node. The reduced
+    system snaps it to machine precision and defines the plan, prices,
+    density and creation field of the candidate. A support that cannot
+    carry the marginals raises StepFailure(reduced_residual); one whose
+    balance gauge has no root raises StepFailure(price_root). Potentials
+    are made exactly feasible by a double c-transform, and the verified
+    primal-dual gap certifies the candidate: at a true optimum it vanishes
+    to rounding.
     """
     model = kern.model
     x = kern.x
@@ -593,29 +604,11 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     allowed = ~cost.forbidden
     mass_scale = max(kern.total_mass, 1e-300)
 
-    m_star = np.maximum(m_star, m_min)
-    if kern.jko:
-        ps_m = _decreasing_root(kern.col_target, m_star, kern.total_mass)
-    else:
-        h_m = np.maximum((m_star / dx - kern.rho_target) / tau,
-                         np.nextafter(model.rate_floor(x), np.inf))
-        ps_m = -model.cost_slope(h_m, x)
-    phi_m = np.minimum(
-        np.min(q[:n, n:] + psi[None, :], axis=1),
-        np.min(q[:n, :n] - ps_m[None, :], axis=1),
-    )
-
-    # support: plan arcs plus everything tight for the assembled duals
-    tight_tol = _tight_tol(cost)
     support = (gamma_joint > _MASS_FLOOR_FACTOR * mass_scale) & allowed
-    support[:n, :n] |= (q[:n, :n] - phi_m[:, None] - ps_m[None, :]) <= tight_tol
-    support[:n, n:] |= (q[:n, n:] + psi[None, :] - phi_m[:, None]) <= tight_tol
-    support[n:, :n] |= (q[n:, :n] - psi[:, None] - ps_m[None, :]) <= tight_tol
-
     phi_out, ps_out, gamma, resid = _reduced_solve(kern, cost, support)
     if resid > 1e-10 * mass_scale:
         raise StepFailure("reduced_residual", resid,
-                          "reduced solve on the tight support misses the marginals")
+                          "reduced solve on the plan support misses the marginals")
     h = model.rate_at_price(-ps_out, x)
     rho = kern.rho_at(ps_out)
     primal = float(np.sum(gamma[allowed] * cost.tilde[allowed])) \
@@ -673,7 +666,7 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
     phi_full = np.concatenate([phi_i, [model.psi_lo, model.psi_hi]])
     ps_full = np.concatenate([ps_i, [-model.psi_lo, -model.psi_hi]])
     report = extract_potentials(cost, model, kern.grid, gamma, h, phi_full, ps_full,
-                                weights=(rho + tau * h) * dx)
+                                weights=kern.col_mass(rho, h))
     residuals = {
         "polish_gap": gap,
         "kkt_kappa": report.optimality_residual,

@@ -41,8 +41,9 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert "barriers" in report
     assert (out / "report.txt").read_text() == report
     assert "support_slack" in report
-    # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs
-    assert "76 arcs max, 0 pricing rounds\n" in report
+    # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs;
+    # both steps certify their first settled candidate
+    assert "76 arcs max, 0 pricing rounds, 0 rejected candidates\n" in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

@@ -288,3 +288,58 @@ def test_joint_lp_stays_sparse(monkeypatch):
     assert max(arcs) < 4352 / 3
     assert max(columns) < 2000
     assert sol.stats["lp_arcs"] == max(arcs)
+
+
+@pytest.mark.parametrize("law, n, tau, slope", [
+    (("power", dict(w=1.0, beta=0.0, q=1.0)), 20, 0.005, 0.0),
+    (("power", dict(w=1.0, beta=0.0, q=1.0)), 8, 0.0075, -0.6),
+    (("signed-power", dict(w=1.0, alpha=0.5, q=0.8)), 12, 0.01, 0.0),
+])
+def test_small_step_fixed_target_certifies(law, n, tau, slope):
+    """Small fixed-target steps whose widened supports once had no balance root."""
+    kind, params = law
+    model = build_model(0.0, 1.0, make_reaction(kind, **params), drift=(0.0, slope),
+                        boundary_density=(0.4, 0.6), run_audit=False)
+    grid = build_grid(0.0, 1.0, n)
+    x = grid.cell_centers
+    mu = (1.0 + 0.5 * np.sin(np.pi * x)) * grid.cell_width
+    rho = 1.0 + 0.5 * np.cos(np.pi * x)
+    sol = solve_fixed_target(model, grid, tau, mu, rho)
+    assert sol.converged
+    assert sol.residuals["polish_gap"] <= 1e-8
+    assert np.max(np.abs(sol.gamma[:n].sum(axis=1) - mu)) <= 1e-10
+    cols = sol.gamma[:, :n].sum(axis=0)
+    assert np.max(np.abs(cols - (rho + tau * sol.h) * grid.cell_width)) <= 1e-10
+
+
+def test_rejected_candidate_does_not_end_the_step(unit_model, grid8, monkeypatch):
+    """A candidate whose support misses the marginals is rejected; later rounds go on."""
+    real = transport._reduced_solve
+    calls = []
+
+    def leaky_once(*args, **kwargs):
+        phi, ps, gamma, resid = real(*args, **kwargs)
+        calls.append(resid)
+        return phi, ps, gamma, 1e-3 if len(calls) == 1 else resid
+
+    monkeypatch.setattr(transport, "_reduced_solve", leaky_once)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid8.cell_centers)) * grid8.cell_width
+    sol = solve_jko_step(unit_model, grid8, 0.1, mu)
+    assert len(calls) >= 2
+    assert sol.converged
+    assert sol.residuals["polish_gap"] <= 1e-8
+    assert sol.stats["rejected_candidates"] == 1
+
+
+def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
+    """Breakpoints at the optimal prices: the first LP's plan certifies the step."""
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * grid8.cell_centers)
+    self_step = solve_fixed_target(unit_model, grid8, 0.1, rho * grid8.cell_width, rho)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)) * grid16.cell_width
+    cold = solve_jko_step(unit_model, grid16, 0.05, mu)
+    warm = solve_jko_step(unit_model, grid16, 0.05, mu,
+                          SolverOptions(init_phi_star=cold.phi_star[: grid16.n_cells]))
+    for sol in (self_step, warm):
+        assert sol.converged
+        assert sol.iterations == 1
+        assert sol.stats["lp_rounds"] == 1
