@@ -96,7 +96,8 @@ def _cmd_solve(args) -> int:
              for key in ("polish_gap", "kkt_kappa", "concavity_gap", "support_slack")}
     lp = (f"{max(sol.stats['lp_arcs'] for sol in steps)} arcs max, "
           f"{sum(sol.stats['pricing_rounds'] for sol in steps)} pricing rounds, "
-          f"{sum(sol.stats['rejected_candidates'] for sol in steps)} rejected candidates")
+          f"{sum(sol.stats['rejected_candidates'] for sol in steps)} rejected candidates, "
+          f"{sum(sol.stats['prune_passes'] for sol in steps)} prune passes")
     sections = {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "run": {"steps": traj.n_steps, "tau": traj.tau, "t_final": traj.t_final,

@@ -18,24 +18,27 @@ breakpoints are prices, whose column masses and costs are explicit; the
 first windows are centred on a seed price (the zero-rate price on a cold
 step, the previous step's prices on a warm one). The LP carries only a
 shortlist of arcs: a band of about one step's displacement around the
-diagonal plus every cell-wall arc. After each solve the LP duals price
-every excluded arc, and arcs with negative reduced cost join the shortlist
-until none is left, so each LP optimum is the optimum over all admissible
-arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). The
-support of the LP plan, a spanning forest as every basic transportation
-plan is (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 3.4),
-is snapped to machine precision by the reduced optimality system: duals are
-read off a breadth-first spanning forest of the support graph, as in network
-simplex, and arc masses off an NNLS fit of the same incidence matrix the LP
-uses. The duals are then made exactly feasible by a double c-transform, and
-the verified primal-dual gap certifies the step. A candidate whose support
-cannot carry or balance the marginals is rejected like one whose gap is too
-large; there is no fallback: a step returns its last assembled candidate,
-whose gap decides `converged`, or raises StepFailure naming the failed
-certificate. The one bisection serves the balance gauge of support
-components no wall arc pins. The creation field and (for implicit steps)
-the density are defined through the dual prices, so the marginal-cost
-identities hold by construction.
+diagonal plus every cell-wall arc in the first round, and the last plan's
+support widened by one cell plus the cell-wall arcs in every later one.
+After each solve the LP duals price every excluded arc, and arcs with
+negative reduced cost join the shortlist until none is left, so each LP
+optimum is the optimum over all admissible arcs (Gottschlich &
+Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). The support of the LP
+plan, a spanning forest as every basic transportation plan is (Peyre &
+Cuturi, Computational Optimal Transport, 2019, sec. 3.4), is snapped to
+machine precision by the reduced optimality system: duals are read off a
+breadth-first spanning forest of the support graph, and arc masses by
+peeling its leaves, both as in network simplex and both in O(|S|). The
+duals are then made exactly feasible by a double c-transform, and the
+verified primal-dual gap certifies the step. A candidate whose support
+cannot carry or balance the marginals, or holds a cycle, is rejected like
+one whose gap is too large; there is no fallback: a step returns its last
+assembled candidate, whose gap decides `converged`, or raises StepFailure
+naming the failed certificate. The one root search, a safeguarded Newton
+iteration, serves the balance gauge of support components no wall arc
+pins. The creation field and (for implicit steps) the density are defined
+through the dual prices, so the marginal-cost identities hold by
+construction.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from typing import Any
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 
 from .grid import Grid
 from .model import Model
@@ -141,9 +144,10 @@ class TransportSolution:
     residuals holds named convergence measures. stats counts what the step
     did: lp_rounds (LP solves, pricing re-solves included), lp_arcs (the
     largest arc count of those LPs), pricing_rounds (re-solves after dual
-    pricing added arcs to the shortlist) and rejected_candidates (candidates
+    pricing added arcs to the shortlist), rejected_candidates (candidates
     assembled and discarded because their gap was too large or their support
-    could not carry or balance the marginals).
+    could not carry or balance the marginals) and prune_passes (reduced-solve
+    passes that cut arcs from a candidate's support).
     """
 
     gamma: np.ndarray
@@ -179,7 +183,8 @@ class StepFailure(RuntimeError):
     certificate names the failed check (joint_lp, reduced_residual,
     lp_rounds, polish_gap or price_root), value is what it measured, and
     context says where the step ran. A step raises reduced_residual or
-    price_root only when the last candidate it assembled failed that way.
+    price_root only when the last candidate it assembled failed that way;
+    reduced_residual reads inf when that candidate's support held a cycle.
     """
 
     def __init__(self, certificate: str, value: float, context: str = "exact step"):
@@ -240,47 +245,62 @@ class _Kernel:
         """Required mass of the listed columns when their potential equals t."""
         return self.col_mass(self.rho_at(t, cols), self.model.rate_at_price(-t, self.x[cols]))
 
+    def col_target_slope(self, t: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Derivative of col_target in t: d rho/dt = -rho on implicit steps, 0 otherwise."""
+        drho = -self.rho_at(t, cols) if self.jko else 0.0
+        dh = -self.model.rate_at_price_derivative(-t, self.x[cols])
+        return (drho + self.tau * dh) * self.dx
 
-def _decreasing_root(f, m: np.ndarray, total_mass: float) -> np.ndarray:
+
+def _decreasing_root(f, df, m: np.ndarray, total_mass: float) -> np.ndarray:
     """Root t of f(t) = m, entry by entry, for f strictly decreasing in each entry.
 
-    Brackets grow geometrically from 0 on both sides, then bisection stops
-    an entry once its residual is negligible against total_mass or its
+    Brackets grow geometrically from 0 on both sides. Each pass then takes
+    the Newton step t - (f(t) - m) / df(t) from the last point, and the
+    bracket's midpoint wherever that step leaves the bracket (or df is 0 or
+    not finite), so the bracket still shrinks around the root. An entry
+    stops once its residual is negligible against total_mass or its
     bracket has closed to rounding. Raises StepFailure(price_root) with the
-    worst residual left when 200 bracket doublings or 200 bisection passes
-    leave an entry unsettled.
+    worst residual left when 200 bracket doublings or 200 passes leave an
+    entry unsettled.
     """
     def resid(t):
         with np.errstate(over="ignore", invalid="ignore"):
             return f(t) - m
 
-    lo = np.zeros(len(m))
-    hi = lo.copy()
+    t = np.zeros(len(m))
+    f0 = resid(t)
+    lo = t.copy()
+    hi = t.copy()
     # grow lo down until f(lo) > m, and hi up until f(hi) < m
     for end, sign in ((lo, -1.0), (hi, 1.0)):
         step = np.full_like(end, 0.5)
+        fv = f0
         for _ in range(200):
-            fv = resid(end)
             grow = ~(sign * fv < 0.0)
             if not np.any(grow):
                 break
             end[grow] += sign * step[grow]
             step[grow] *= 2.0
+            fv = resid(end)
         else:
             raise StepFailure("price_root", np.max(np.abs(fv[grow])), "price bracket")
     scale = max(total_mass, 1e-300)
-    t = 0.5 * (lo + hi)
+    fv = f0
     for _ in range(200):
-        fv = resid(t)
         done = (np.abs(fv) <= 1e-14 * scale) | (hi - lo <= 1e-16 * (1.0 + np.abs(t)))
         if np.all(done):
             break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = t - fv / df(t)
+        inside = (newton > lo) & (newton < hi)
+        t = np.where(done, t, np.where(inside, newton, 0.5 * (lo + hi)))
+        fv = resid(t)
         neg = fv < 0.0    # f(t) too small: t too high
         hi = np.where(neg, t, hi)
         lo = np.where(neg, lo, t)
-        t = np.where(done, t, 0.5 * (lo + hi))
     else:
-        raise StepFailure("price_root", np.max(np.abs(fv[~done])), "price bisection")
+        raise StepFailure("price_root", np.max(np.abs(fv[~done])), "price root")
     return t
 
 
@@ -311,9 +331,10 @@ def _potentials_on_support(kern: _Kernel, cost: CostMatrix, support: np.ndarray)
     the lowest-index row with one, lower wall first, else the lowest-index
     column with one. Otherwise the constant solves the component's scalar
     mass balance (total required column mass equals total source mass), a
-    monotone equation solved for all such components by one bisection. This
-    balance gauge is what holds at kink optima, where wall subgradient jumps
-    would make any arc-based pinning oscillate.
+    monotone equation solved for all such components by one safeguarded
+    Newton search. This balance gauge is what holds at kink optima, where
+    wall subgradient jumps would make any arc-based pinning oscillate.
+    Returns the row and column potentials and each node's component label.
     """
     n = cost.n_cells
     q = cost.quad
@@ -360,48 +381,102 @@ def _potentials_on_support(kern: _Kernel, cost: CostMatrix, support: np.ndarray)
         row_mass = np.bincount(label[:n], weights=kern.mu, minlength=n_comp)[free]
         shift[free] = -_decreasing_root(
             lambda s: np.bincount(slot, weights=kern.col_target(ps[cols] + s[slot], cols)),
+            lambda s: np.bincount(slot, weights=kern.col_target_slope(ps[cols] + s[slot], cols)),
             row_mass, kern.total_mass)
-    return phi + shift[label[:n]], ps - shift[label[n:]]
+    return phi + shift[label[:n]], ps - shift[label[n:]], label
 
 
 def _arc_masses(kern: _Kernel, support: np.ndarray, col_mass: np.ndarray):
-    """Nonnegative arc masses fitting both marginals on the active set.
+    """Arc masses that meet both marginals on a forest support, by leaf peeling.
 
-    Solved as NNLS on the support incidence system, which handles trees and
-    degenerate cycles alike; the residual measures whether the active set
-    can carry the marginals at all.
+    Nodes are the interior rows 0..n-1 (source mass mu) and columns
+    n..2n-1 (col_mass); an arc joins its row and column, and a wall arc
+    only its interior end, since walls carry no constraint. A node with one
+    unassigned arc left is a leaf: that arc takes the node's remaining
+    mass, which is then charged to its other end, so on a forest (the walls
+    counted as one node) every arc is fixed in O(|S|), as in network
+    simplex. Masses may come out negative. Returns the plan and the norm of
+    the marginal defect; an arc no leaf reaches lies on a cycle, whose
+    masses the marginals do not fix, and makes the residual infinite.
     """
     n = len(kern.mu)
     idx_r, idx_c = np.nonzero(support)
-    b = np.concatenate([kern.mu, col_mass])
-    if len(idx_r) == 0:
-        return np.zeros((n + 2, n + 2)), float(np.linalg.norm(b))
-    sol, resid = nnls(_incidence(n, idx_r, idx_c).toarray(), b)
+    n_arcs = len(idx_r)
+    row_end = np.where(idx_r < n, idx_r, -1)
+    col_end = np.where(idx_c < n, n + idx_c, -1)
+    ends = np.concatenate([row_end, col_end])
+    arcs = np.tile(np.arange(n_arcs), 2)[ends >= 0]
+    ends = ends[ends >= 0]
+    deg = np.bincount(ends, minlength=2 * n).tolist()
+    # with one arc left, the XOR of a node's unassigned arcs is that arc
+    last = np.zeros(2 * n, dtype=np.int64)
+    np.bitwise_xor.at(last, ends, arcs)
+    last = last.tolist()
+    need = np.concatenate([kern.mu, col_mass]).tolist()
+    row_end, col_end = row_end.tolist(), col_end.tolist()
+    mass = [math.nan] * n_arcs
+    leaves = [v for v in range(2 * n) if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if deg[v] != 1:
+            continue
+        k = last[v]
+        mass[k] = need[v]
+        need[v] = 0.0
+        deg[v] = 0
+        w = col_end[k] if row_end[k] == v else row_end[k]
+        if w >= 0:
+            need[w] -= mass[k]
+            deg[w] -= 1
+            last[w] ^= k
+            if deg[w] == 1:
+                leaves.append(w)
     gamma = np.zeros((n + 2, n + 2))
-    gamma[idx_r, idx_c] = sol
-    return gamma, float(resid)
+    gamma[idx_r, idx_c] = mass
+    if any(deg):
+        return gamma, math.inf
+    defect = np.concatenate([gamma[:n].sum(axis=1) - kern.mu,
+                             gamma[:, :n].sum(axis=0) - col_mass])
+    return gamma, float(np.linalg.norm(defect))
 
 
-def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
+def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray, stats: dict):
     """Machine-precision solve on an active arc set, pruning as needed.
 
-    Arcs the NNLS mass fit zeroes out while leaving a residual are blocking
-    the balance (they would need negative mass); pruning them and re-solving
-    terminates because the set strictly shrinks.
+    Each pass sets the support's potentials and the column masses they
+    price, then peels the arc masses. A negative mass means its arc blocks
+    the balance; one deficit can turn a whole chain negative, so a pass
+    cuts only the most negative arc of each support component. Without
+    one, a residual above tolerance cuts the arcs at or below the mass
+    floor. Every pass that cuts counts in stats["prune_passes"]; the set
+    strictly shrinks, so the loop terminates. A support with a cycle is
+    returned as it is, with its infinite residual.
     """
     n = cost.n_cells
     support = support.copy()
     mass_scale = max(kern.total_mass, 1e-300)
     for _ in range(2 * n + 4):
-        phi, ps = _potentials_on_support(kern, cost, support)
+        phi, ps, label = _potentials_on_support(kern, cost, support)
         col_mass = np.maximum(kern.col_target(ps), 0.0)
         gamma, resid = _arc_masses(kern, support, col_mass)
-        if resid <= 1e-11 * mass_scale:
+        if math.isinf(resid):
             break
-        dead = support & (gamma <= _MASS_FLOOR_FACTOR * mass_scale)
-        if not np.any(dead):
+        r, c = np.nonzero(gamma < 0.0)
+        if len(r):
+            # components share no arc, potential or gauge: cutting the most
+            # negative arc of each at once is cutting them one at a time
+            order = np.argsort(gamma[r, c])
+            comp = label[np.where(r < n, r, n + c)]
+            first = np.unique(comp[order], return_index=True)[1]
+            support[r[order][first], c[order][first]] = False
+        elif resid <= 1e-11 * mass_scale:
             break
-        support &= ~dead
+        else:
+            dead = support & (gamma <= _MASS_FLOOR_FACTOR * mass_scale)
+            if not np.any(dead):
+                break
+            support &= ~dead
+        stats["prune_passes"] += 1
     return phi, ps, gamma, resid
 
 
@@ -450,18 +525,21 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     the linearized cost; column balance ties arc inflow to the base mass
     plus the fills. The LP is solved on the shortlist mask, and every
     excluded arc is priced with its duals: an arc whose reduced cost
-    tilde_ij - u_i - v_j lies below -tol joins the mask (in place, so it
-    persists into later rounds) and the LP is solved again. Once no arc is
-    left, the shortlist optimum is the optimum over all admissible arcs.
-    Returns the plan part, each column's optimum as a position in segments
-    counted from its first breakpoint, the number of pricing re-solves and
-    the arc count of the last (largest) solve.
+    tilde_ij - u_i - v_j lies below -tol joins the mask (in place) and the
+    LP is solved again. Once no arc is left, the shortlist optimum is the
+    optimum over all admissible arcs. A segment whose breakpoint masses tie
+    has width 0, so its fill is bounded by 0, costs nothing and adds
+    nothing to the position. Presolve is off: the 2n balance rows leave it
+    nothing to remove. Returns the plan part, each column's optimum as a
+    position in segments counted from its first breakpoint, the number of
+    pricing re-solves and the arc count of the last (largest) solve.
     """
     n = cost.n_cells
     k = breaks.shape[1] - 1
-    widths = np.diff(breaks, axis=1)
-    widths = np.maximum(widths, 1e-300)
-    slopes = np.diff(xi, axis=1) / widths
+    # a segment of masses tied by rounding holds no fill and costs nothing
+    widths = np.maximum(np.diff(breaks, axis=1), 0.0)
+    flat = widths == 0.0
+    slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
     fills = sparse.vstack([sparse.csr_matrix((n, n * k)),
                            sparse.kron(sparse.eye(n), -np.ones((1, k)))])
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
@@ -478,6 +556,7 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         res = linprog(
             c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
             options={
+                "presolve": False,
                 "primal_feasibility_tolerance": 1e-10,
                 "dual_feasibility_tolerance": 1e-10,
             },
@@ -494,7 +573,8 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         pricing += 1
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
-    pos = np.sum(res.x[n_arcs:].reshape(n, k) / widths, axis=1)
+    fill = res.x[n_arcs:].reshape(n, k)
+    pos = np.sum(np.divide(fill, widths, out=np.zeros_like(widths), where=~flat), axis=1)
     return gamma, pos, pricing, n_arcs
 
 
@@ -511,21 +591,25 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     when the optimum sits in an end segment. Every LP whose optimum settles
     inside its windows hands its plan to _assemble_candidate; a candidate
     whose support cannot carry or balance the marginals is rejected like
-    one whose gap is too large, and the rounds go on. Every LP runs on one
-    arc shortlist, a band of _band_cells around the diagonal plus the wall
-    arcs, which dual pricing extends whenever an excluded arc would improve
-    an LP; the extension persists across rounds. Returns the last candidate
-    assembled, the refinement rounds run and the step's counters (see
-    TransportSolution). Raises the StepFailure of the last candidate if it
-    failed, and StepFailure(lp_rounds) if no round settled inside its
-    windows, so no candidate was assembled.
+    one whose gap is too large, and the rounds go on. Every LP runs on an
+    arc shortlist that dual pricing extends whenever an excluded arc would
+    improve it: in the first round a band of _band_cells around the
+    diagonal plus the wall arcs, in every later one the last plan's support
+    widened by one cell in row and column plus the wall arcs (Schmitzer,
+    JMIV 2016). Returns the last candidate assembled, the refinement rounds
+    run and the step's counters (see TransportSolution). Raises the
+    StepFailure of the last candidate if it failed, and
+    StepFailure(lp_rounds) if no round settled inside its windows, so no
+    candidate was assembled.
     """
     n = cost.n_cells
     # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
     mask = ~cost.forbidden
     cells = np.arange(n)
     mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
-    stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0}
+    stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0,
+             "prune_passes": 0}
+    floor = _MASS_FLOOR_FACTOR * max(kern.total_mass, 1e-300)
 
     k = 12
     target_width = 1e-11  # price windows this narrow have settled
@@ -547,7 +631,7 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
             if cand is not None or failure is not None:
                 stats["rejected_candidates"] += 1
             try:
-                cand, failure = _assemble_candidate(kern, cost, gamma_joint), None
+                cand, failure = _assemble_candidate(kern, cost, gamma_joint, stats), None
             except StepFailure as exc:
                 if exc.certificate not in ("reduced_residual", "price_root"):
                     raise
@@ -560,6 +644,15 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         width = np.where(grow, 3.0 * (hi - lo), np.maximum(3.0 * seg, target_width))
         lo = centre - 0.5 * width
         hi = centre + 0.5 * width
+        # the next shortlist: this plan's interior support widened by one
+        # cell in row and column (a 3 x 3 box), plus the wall arcs, which
+        # never leave it
+        plan = gamma_joint[:n, :n] > floor
+        plan[1:] |= plan[:-1].copy()
+        plan[:-1] |= plan[1:].copy()
+        mask[:n, :n] = plan
+        mask[:n, 1:n] |= plan[:, :-1]
+        mask[:n, :n - 1] |= plan[:, 1:]
     if failure is not None:
         raise failure
     if cand is None:
@@ -580,16 +673,18 @@ def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
     return val
 
 
-def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray):
+def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray,
+                        stats: dict):
     """Exact solution candidate on the LP plan's support, with its duality gap.
 
     The arcs of the LP plan above the mass floor form the support. A basic
     optimal plan of a transportation LP is a spanning forest, so this
     support is a forest whenever the walls count as one node. The reduced
     system snaps it to machine precision and defines the plan, prices,
-    density and creation field of the candidate. A support that cannot
-    carry the marginals raises StepFailure(reduced_residual); one whose
-    balance gauge has no root raises StepFailure(price_root). Potentials
+    density and creation field of the candidate; its prune passes count in
+    stats. A support that cannot carry the marginals, or holds a cycle,
+    raises StepFailure(reduced_residual); one whose balance gauge has no
+    root raises StepFailure(price_root). Potentials
     are made exactly feasible by a double c-transform, and the verified
     primal-dual gap certifies the candidate: at a true optimum it vanishes
     to rounding.
@@ -605,7 +700,7 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     mass_scale = max(kern.total_mass, 1e-300)
 
     support = (gamma_joint > _MASS_FLOOR_FACTOR * mass_scale) & allowed
-    phi_out, ps_out, gamma, resid = _reduced_solve(kern, cost, support)
+    phi_out, ps_out, gamma, resid = _reduced_solve(kern, cost, support, stats)
     if resid > 1e-10 * mass_scale:
         raise StepFailure("reduced_residual", resid,
                           "reduced solve on the plan support misses the marginals")

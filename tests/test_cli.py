@@ -42,8 +42,9 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert (out / "report.txt").read_text() == report
     assert "support_slack" in report
     # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs;
-    # both steps certify their first settled candidate
-    assert "76 arcs max, 0 pricing rounds, 0 rejected candidates\n" in report
+    # both steps certify their first settled candidate, after one prune pass
+    # each that cuts the arcs whose peeled masses come out negative
+    assert "76 arcs max, 0 pricing rounds, 0 rejected candidates, 2 prune passes\n" in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

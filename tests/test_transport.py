@@ -1,4 +1,7 @@
 """Production solver: feasibility, optimality certificates, and conventions."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,3 +346,177 @@ def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
         assert sol.converged
         assert sol.iterations == 1
         assert sol.stats["lp_rounds"] == 1
+
+
+def test_transport_builds_no_dense_matrix():
+    """Arc masses come from leaf peeling: no NNLS fit and no densified incidence."""
+    tree = ast.parse(Path(transport.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(a.name for a in node.names)
+    assert "nnls" not in imported, imported
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & {"nnls", "toarray", "todense"}, attrs
+
+
+def _random_forest(rng, n, n_comp):
+    """A random bipartite forest on rows and columns 0..n-1, one wall arc per tree."""
+    support = np.zeros((n + 2, n + 2), dtype=bool)
+    cuts = np.sort(rng.choice(np.arange(1, n), n_comp - 1, replace=False))
+    for rows, cols in zip(np.split(rng.permutation(n), cuts), np.split(rng.permutation(n), cuts)):
+        support[rows[0], cols[0]] = True
+        in_rows, in_cols = [rows[0]], [cols[0]]
+        # every further node joins a random node of the other side already in the tree
+        rest = [(True, r) for r in rows[1:]] + [(False, c) for c in cols[1:]]
+        for k in rng.permutation(len(rest)):
+            is_row, node = rest[k]
+            if is_row:
+                support[node, rng.choice(in_cols)] = True
+                in_rows.append(node)
+            else:
+                support[rng.choice(in_rows), node] = True
+                in_cols.append(node)
+        wall = n + rng.integers(2)
+        if rng.integers(2):
+            support[rng.choice(rows), wall] = True
+        else:
+            support[wall, rng.choice(cols)] = True
+    return support
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_peeled_masses_meet_both_marginals(unit_model, seed):
+    rng = np.random.default_rng(seed)
+    n = 24
+    grid = build_grid(0.0, 1.0, n)
+    mu = rng.uniform(0.5, 1.5, n) * grid.cell_width
+    col_mass = rng.uniform(0.5, 1.5, n) * grid.cell_width
+    kern = transport._Kernel(unit_model, grid, 0.1, mu, None)
+    support = _random_forest(rng, n, n_comp=5)
+    gamma, resid = transport._arc_masses(kern, support, col_mass)
+    scale = 1e-12 * (mu.sum() + col_mass.sum())
+    assert np.all(gamma[~support] == 0.0)
+    assert np.max(np.abs(gamma[:n].sum(axis=1) - mu)) <= scale
+    assert np.max(np.abs(gamma[:, :n].sum(axis=0) - col_mass)) <= scale
+    assert resid <= scale
+
+
+def test_support_cycle_is_a_rejected_candidate(unit_model, grid8):
+    """Rows 0, 1 and columns 0, 1 joined by all four arcs: the masses are not fixed."""
+    n = grid8.n_cells
+    mu = np.full(n, grid8.cell_width)
+    kern = transport._Kernel(unit_model, grid8, 0.1, mu, None)
+    cost = build_cost_matrix(unit_model, grid8, 0.1)
+    plan = np.zeros((n + 2, n + 2))
+    plan[np.arange(n), np.arange(n)] = grid8.cell_width
+    plan[0, 1] = plan[1, 0] = 0.1 * grid8.cell_width
+    _, resid = transport._arc_masses(kern, plan > 0.0, mu)
+    assert resid == np.inf
+    stats = {"prune_passes": 0}
+    with pytest.raises(StepFailure, match="reduced_residual") as err:
+        transport._assemble_candidate(kern, cost, plan, stats)
+    assert err.value.certificate == "reduced_residual"
+    assert stats["prune_passes"] == 0
+
+
+def test_prune_cuts_the_most_negative_arc(drifty_model, monkeypatch):
+    """A staircase fed from the lower wall, whose columns all need more than their rows hold.
+
+    Every arc from row i + 1 to column i carries the deficit of the chain
+    above it, so peeling turns them all negative. One pass cuts only the
+    most negative: cutting every negative arc would take the tight arcs of
+    the optimum with it.
+    """
+    n = 6
+    grid = build_grid(0.0, 1.0, n)
+    mu = np.full(n, grid.cell_width)
+    kern = transport._Kernel(drifty_model, grid, 0.1, mu, np.full(n, 1.5))
+    cost = build_cost_matrix(drifty_model, grid, 0.1)
+    support = np.zeros((n + 2, n + 2), dtype=bool)
+    cells = np.arange(n)
+    support[cells, cells] = True
+    support[cells[1:], cells[:-1]] = True
+    support[n, 0] = True
+    passes = []
+    real = transport._arc_masses
+
+    def recorded(kern, support, col_mass):
+        gamma, resid = real(kern, support, col_mass)
+        passes.append((support.copy(), gamma))
+        return gamma, resid
+
+    monkeypatch.setattr(transport, "_arc_masses", recorded)
+    stats = {"prune_passes": 0}
+    _, _, gamma, resid = transport._reduced_solve(kern, cost, support, stats)
+    (first, masses), (second, _) = passes[:2]
+    assert np.count_nonzero(masses < 0.0) >= 2
+    worst = np.unravel_index(np.argmin(masses), masses.shape)
+    cut = first & ~second
+    assert np.count_nonzero(cut) == 1 and cut[worst]
+    assert not np.any(second & ~first)
+    assert stats["prune_passes"] == len(passes) - 1
+    assert np.all(gamma >= 0.0)
+    assert resid <= 1e-11 * mu.sum()
+
+
+def test_gauge_root_takes_few_evaluations(monkeypatch):
+    """Newton in the balance gauge: a handful of column-mass evaluations per root.
+
+    Plain bisection to the 1e-14 mass tolerance took about 46 per call.
+    """
+    evaluations = []
+    real = transport._decreasing_root
+
+    def counted(f, df, m, total_mass):
+        evaluations.append(0)
+
+        def f_counted(t):
+            evaluations[-1] += 1
+            return f(t)
+
+        return real(f_counted, df, m, total_mass)
+
+    monkeypatch.setattr(transport, "_decreasing_root", counted)
+    model, grid, mu = _drifty_step_64()
+    sol = solve_jko_step(model, grid, 0.05, mu)
+    assert sol.converged
+    assert evaluations
+    assert np.mean(evaluations) <= 12
+
+
+def test_later_rounds_run_on_the_last_support(monkeypatch):
+    """After the first round, each LP carries the last plan's widened support, not the band."""
+    arcs = []
+    real = transport.linprog
+
+    def counted(c, *args, **kwargs):
+        arcs.append(len(c) - 64 * 12)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counted)
+    model, grid, mu = _drifty_step_64()
+    sol = solve_jko_step(model, grid, 0.05, mu)
+    assert sol.converged
+    assert sol.residuals["polish_gap"] <= 1e-8
+    assert len(arcs) >= 2
+    assert all(a < arcs[0] for a in arcs[1:])
+
+
+def test_zero_width_segments_hold_no_fill(unit_model, grid8):
+    """Breakpoints whose masses tie add a segment of width 0: no fill, no position."""
+    n = grid8.n_cells
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid8.cell_centers)) * grid8.cell_width
+    kern = transport._Kernel(unit_model, grid8, 0.1, mu, None)
+    cost = build_cost_matrix(unit_model, grid8, 0.1)
+    seed = -unit_model.cost_slope(np.zeros(n), grid8.cell_centers)
+    prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 11)[None, :]
+    breaks, xi = transport._xi_table(kern, prices)
+    mask = ~cost.forbidden
+    _, pos, _, _ = transport._joint_lp(kern, cost, breaks, xi, mask.copy())
+    # two more breakpoints at the first mass, each cheaper than the last
+    tied_breaks = np.concatenate([breaks[:, :1], breaks[:, :1], breaks], axis=1)
+    tied_xi = np.concatenate([xi[:, :1] + 2.0, xi[:, :1] + 1.0, xi], axis=1)
+    _, tied_pos, _, _ = transport._joint_lp(kern, cost, tied_breaks, tied_xi, mask.copy())
+    assert np.all(np.isfinite(tied_pos))
+    assert np.allclose(tied_pos, pos, atol=1e-9)
