@@ -23,28 +23,29 @@ support widened by one cell plus the cell-wall arcs in every later one.
 After each solve the LP duals price every excluded arc, and arcs with
 negative reduced cost join the shortlist until none is left, so each LP
 optimum is the optimum over all admissible arcs (Gottschlich &
-Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). The support of the LP
-plan, a spanning forest as every basic transportation plan is (Peyre &
-Cuturi, Computational Optimal Transport, 2019, sec. 3.4), is snapped to
-machine precision by the reduced optimality system: duals are read off a
-breadth-first spanning forest of the support graph, and arc masses by
-peeling its leaves, both as in network simplex and both in O(|S|). The
-duals are then made exactly feasible by a double c-transform, and the
-verified primal-dual gap certifies the step. A candidate whose support
-cannot carry or balance the marginals, or holds a cycle, is rejected like
-one whose gap is too large; there is no fallback: a step returns its last
-assembled candidate, whose gap decides `converged`, or raises StepFailure
-naming the failed certificate. The one root search, a safeguarded Newton
-iteration, serves the balance gauge of support components no wall arc
-pins. The creation field and (for implicit steps) the density are defined
-through the dual prices, so the marginal-cost identities hold by
-construction.
+Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). Each wall is a
+reservoir that gives or takes any mass, so both walls are one root node
+with no balance row. The support of the LP plan, a spanning forest as
+every basic transportation plan is (Peyre & Cuturi, Computational Optimal
+Transport, 2019, sec. 3.4-3.5), is snapped to machine precision on one
+tree rooted at the walls: one breadth-first walk tests it for a cycle and
+gives the duals top down and the arc masses bottom up, in O(|S|) as in
+network simplex. The duals are then made exactly feasible by a double
+c-transform, and the verified primal-dual gap certifies the step. A
+candidate whose support cannot carry or balance the marginals, or holds a
+cycle, is rejected like one whose gap is too large; there is no fallback:
+a step returns its last assembled candidate, whose gap decides
+`converged`, or raises StepFailure naming the failed certificate. The one
+root search, a safeguarded Newton iteration, serves the balance gauge of
+support components with no wall arc. The creation field and (for
+implicit steps) the density are defined through the dual prices, so the
+marginal-cost identities hold by construction, with no offset.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -139,14 +140,15 @@ class TransportSolution:
 
     gamma rows/cols are ordered interior-then-walls as in CostMatrix. phi and
     phi_star carry the wall values pinned to +/- the reservoir potential in
-    their last two slots. kappa is the dual offset of the price identity;
-    iterations counts the breakpoint-refinement rounds of the polish;
-    residuals holds named convergence measures. stats counts what the step
-    did: lp_rounds (LP solves, pricing re-solves included), lp_arcs (the
-    largest arc count of those LPs), pricing_rounds (re-solves after dual
-    pricing added arcs to the shortlist), rejected_candidates (candidates
-    assembled and discarded because their gap was too large or their support
-    could not carry or balance the marginals) and prune_passes (reduced-solve
+    their last two slots. h is the rate at price -phi_star, so phi_star +
+    cost_slope(h) = 0 with no offset. iterations counts the
+    breakpoint-refinement rounds of the polish; residuals holds named
+    convergence measures. stats counts what the step did: lp_rounds (LP
+    solves, pricing re-solves included), lp_arcs (the largest arc count of
+    those LPs), pricing_rounds (re-solves after dual pricing added arcs to
+    the shortlist), rejected_candidates (candidates assembled and discarded
+    because their gap was too large or their support could not carry or
+    balance the marginals, or held a cycle) and prune_passes (reduced-solve
     passes that cut arcs from a candidate's support).
     """
 
@@ -155,7 +157,6 @@ class TransportSolution:
     rho: np.ndarray
     phi: np.ndarray
     phi_star: np.ndarray
-    kappa: float
     primal_value: float
     objective: float
     converged: bool
@@ -171,7 +172,6 @@ class TransportSolution:
 
 @dataclass(frozen=True)
 class PotentialReport:
-    kappa: float
     optimality_residual: float
     concavity_gap: float
     support_slack: float
@@ -184,7 +184,8 @@ class StepFailure(RuntimeError):
     lp_rounds, polish_gap or price_root), value is what it measured, and
     context says where the step ran. A step raises reduced_residual or
     price_root only when the last candidate it assembled failed that way;
-    reduced_residual reads inf when that candidate's support held a cycle.
+    reduced_residual reads inf when that candidate's support held a cycle,
+    the walls counted as one node.
     """
 
     def __init__(self, certificate: str, value: float, context: str = "exact step"):
@@ -192,19 +193,6 @@ class StepFailure(RuntimeError):
         self.value = float(value)
         self.context = context
         super().__init__(f"{context}: certificate failed: {certificate} {self.value:.3e}")
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    """Median of values under nonnegative weights (lower median convention)."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        return float(np.median(values))
-    order = np.argsort(values)
-    cum = np.cumsum(weights[order])
-    k = int(np.searchsorted(cum, 0.5 * total))
-    return float(values[order][min(k, len(values) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +244,11 @@ def _decreasing_root(f, df, m: np.ndarray, total_mass: float) -> np.ndarray:
     """Root t of f(t) = m, entry by entry, for f strictly decreasing in each entry.
 
     Brackets grow geometrically from 0 on both sides. Each pass then takes
-    the Newton step t - (f(t) - m) / df(t) from the last point, and the
-    bracket's midpoint wherever that step leaves the bracket (or df is 0 or
-    not finite), so the bracket still shrinks around the root. An entry
+    the Newton step t - (f(t) - m) / df(t) where it lands inside the
+    bracket and at most halves the last step (the bracket's width at
+    first), and the bracket's midpoint elsewhere, as rtsafe does: Newton
+    points alternating around a kink of f never leave the bracket, yet
+    never shrink it. An entry
     stops once its residual is negligible against total_mass or its
     bracket has closed to rounding. Raises StepFailure(price_root) with the
     worst residual left when 200 bracket doublings or 200 passes leave an
@@ -287,14 +277,17 @@ def _decreasing_root(f, df, m: np.ndarray, total_mass: float) -> np.ndarray:
             raise StepFailure("price_root", np.max(np.abs(fv[grow])), "price bracket")
     scale = max(total_mass, 1e-300)
     fv = f0
+    last = hi - lo
     for _ in range(200):
         done = (np.abs(fv) <= 1e-14 * scale) | (hi - lo <= 1e-16 * (1.0 + np.abs(t)))
         if np.all(done):
             break
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             newton = t - fv / df(t)
-        inside = (newton > lo) & (newton < hi)
-        t = np.where(done, t, np.where(inside, newton, 0.5 * (lo + hi)))
+        take = (newton > lo) & (newton < hi) & (np.abs(newton - t) <= 0.5 * last)
+        nxt = np.where(done, t, np.where(take, newton, 0.5 * (lo + hi)))
+        last = np.abs(nxt - t)
+        t = nxt
         fv = resid(t)
         neg = fv < 0.0    # f(t) too small: t too high
         hi = np.where(neg, t, hi)
@@ -304,137 +297,119 @@ def _decreasing_root(f, df, m: np.ndarray, total_mass: float) -> np.ndarray:
     return t
 
 
-def _incidence(n: int, idx_r: np.ndarray, idx_c: np.ndarray) -> sparse.csr_matrix:
-    """Marginal constraints met by arcs (idx_r[k], idx_c[k]).
+def _arc_nodes(n: int, idx_r: np.ndarray, idx_c: np.ndarray):
+    """The two nodes joined by each arc (idx_r[k], idx_c[k]) of the plan.
 
-    Rows 0..n-1 are the source balances of the interior rows, rows n..2n-1
-    the target balances of the interior columns; wall ends carry no
-    constraint.
+    Interior rows are nodes 0..n-1 and interior columns n..2n-1; both walls
+    are the single root node 2n, which carries no balance: each wall is a
+    reservoir that gives or takes any mass.
     """
-    arcs = np.arange(len(idx_r))
-    at_row = idx_r < n
-    at_col = idx_c < n
-    rows = np.concatenate([idx_r[at_row], n + idx_c[at_col]])
-    cols = np.concatenate([arcs[at_row], arcs[at_col]])
-    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * n, len(idx_r)))
+    root = 2 * n
+    return np.where(idx_r < n, idx_r, root), np.where(idx_c < n, n + idx_c, root)
 
 
-def _potentials_on_support(kern: _Kernel, cost: CostMatrix, support: np.ndarray):
-    """Exact duals consistent with tightness on the active arcs.
+class _Forest(NamedTuple):
+    """A support rooted at the walls; see _support_forest."""
 
-    The interior arcs form a bipartite graph on rows 0..n-1 and columns
-    n..2n-1 (wall arcs join nothing: walls carry no constraint). Each
-    connected component is walked breadth-first from its lowest-index node,
-    whose potential is zero, and every other node takes its potential from
-    its BFS parent through the tight arc phi_i + ps_j = q_ij. That fixes a
-    component's duals up to one constant. A tight wall arc pins it outright:
-    the lowest-index row with one, lower wall first, else the lowest-index
-    column with one. Otherwise the constant solves the component's scalar
-    mass balance (total required column mass equals total source mass), a
-    monotone equation solved for all such components by one safeguarded
-    Newton search. This balance gauge is what holds at kink optima, where
-    wall subgradient jumps would make any arc-based pinning oscillate.
-    Returns the row and column potentials and each node's component label.
+    node: np.ndarray     # non-root nodes, each after its parent
+    parent: np.ndarray
+    arc_r: np.ndarray    # the arc each node hangs from, -1 on a gauge edge
+    arc_c: np.ndarray
+    label: np.ndarray    # interior component of nodes 0..2n-1
+    walled: np.ndarray   # component holds a wall arc
+
+
+def _support_forest(n: int, support: np.ndarray) -> _Forest | None:
+    """The support as one tree rooted at the walls, or None if it holds a cycle.
+
+    The nodes are those of _arc_nodes. Each interior component with no
+    wall arc hangs from the root at its lowest-index node by a gauge edge,
+    which carries no arc. Every component then reaches the root, so the
+    graph is connected, and it is a tree (the support a forest, the walls
+    counted as one node) exactly when it has 2n edges. The tree is walked
+    breadth-first from the root, as network simplex walks a basis (Peyre &
+    Cuturi, Computational Optimal Transport, 2019, sec. 3.5).
+    """
+    root = 2 * n
+    idx_r, idx_c = np.nonzero(support)
+    a, b = _arc_nodes(n, idx_r, idx_c)
+    inner = (a < root) & (b < root)
+    graph = sparse.csr_matrix((np.ones(np.count_nonzero(inner)), (a[inner], b[inner])),
+                              shape=(root, root))
+    n_comp, label = csgraph.connected_components(graph, directed=False)
+    walled = np.zeros(n_comp, dtype=bool)
+    walled[label[np.minimum(a, b)[~inner]]] = True
+    gauge = np.unique(label, return_index=True)[1][~walled]
+    if len(idx_r) + len(gauge) != root:
+        return None
+    a = np.r_[a, np.full(len(gauge), root)]
+    b = np.r_[b, gauge]
+    tree = sparse.csr_matrix((np.ones(root), (a, b)), shape=(root + 1, root + 1))
+    order, pred = csgraph.breadth_first_order(tree, root, directed=False,
+                                              return_predecessors=True)
+    # every edge hangs its far end from its near end
+    child = np.where(pred[a] == b, a, b)[:len(idx_r)]
+    arc_r = np.full(root + 1, -1)
+    arc_c = np.full(root + 1, -1)
+    arc_r[child] = idx_r
+    arc_c[child] = idx_c
+    node = order[1:]
+    return _Forest(node, pred[node], arc_r[node], arc_c[node], label, walled)
+
+
+def _forest_potentials(kern: _Kernel, cost: CostMatrix, forest: _Forest):
+    """Duals tight on every arc of the forest, walked down from the root.
+
+    The root's potential is 0, and each node takes tilde_ij minus its
+    parent's through the arc it hangs from: phi_i + ps_j = tilde_ij, where
+    tilde holds the reservoir price on wall arcs. A node on a gauge edge
+    takes 0, so its component's duals are fixed up to one constant, which
+    solves the component's scalar mass balance (total required column mass
+    equals total source mass): a monotone equation solved for all such
+    components by one safeguarded Newton search. This balance gauge is what
+    holds at kink optima, where wall subgradient jumps would make any
+    arc-based pinning oscillate. Returns the row and column potentials.
     """
     n = cost.n_cells
-    q = cost.quad
-    psi = kern.psi
-    r, c = np.nonzero(support[:n, :n])
-    graph = sparse.csr_matrix((np.ones(2 * len(r)), (np.r_[r, n + c], np.r_[n + c, r])),
-                              shape=(2 * n, 2 * n))
-    n_comp, label = csgraph.connected_components(graph, directed=False)
+    w = np.where(forest.arc_r >= 0, cost.tilde[forest.arc_r, forest.arc_c], 0.0)
+    pot = [0.0] * (2 * n + 1)
+    for v, p, wv in zip(forest.node.tolist(), forest.parent.tolist(), w.tolist()):
+        pot[v] = wv - pot[p]
+    phi, ps = np.array(pot[:n]), np.array(pot[n:2 * n])
 
-    # breadth-first spanning forest: parents precede children
-    nodes, parents = [], []
-    for root in np.unique(label, return_index=True)[1]:
-        order, pred = csgraph.breadth_first_order(graph, root, return_predecessors=True)
-        nodes.append(order[1:])
-        parents.append(pred[order[1:]])
-    nodes = np.concatenate(nodes)
-    parents = np.concatenate(parents)
-    arc_cost = q[np.minimum(nodes, parents), np.maximum(nodes, parents) - n]
-    pot = np.zeros(2 * n)
-    for node, parent, w in zip(nodes.tolist(), parents.tolist(), arc_cost.tolist()):
-        pot[node] = w - pot[parent]
-    phi, ps = pot[:n], pot[n:]
-
-    # wall pins, lowest-index node first; a row pin outranks a column pin
-    shift = np.zeros(n_comp)
-    pinned = np.zeros(n_comp, dtype=bool)
-    col_wall = support[n:, :n].T
-    j = np.flatnonzero(col_wall.any(axis=1))
-    b = np.argmax(col_wall[j], axis=1)
-    comps, first = np.unique(label[n + j], return_index=True)
-    shift[comps] = (ps[j] - (q[n + b, j] - psi[b]))[first]
-    pinned[comps] = True
-    row_wall = support[:n, n:]
-    i = np.flatnonzero(row_wall.any(axis=1))
-    b = np.argmax(row_wall[i], axis=1)
-    comps, first = np.unique(label[i], return_index=True)
-    shift[comps] = ((q[i, n + b] + psi[b]) - phi[i])[first]
-    pinned[comps] = True
-
-    # balance gauge for the unpinned components that hold columns
-    cols = np.flatnonzero(~pinned[label[n:]])
+    label = forest.label
+    cols = np.flatnonzero(~forest.walled[label[n:]])
     if len(cols):
         free, slot = np.unique(label[n + cols], return_inverse=True)
-        row_mass = np.bincount(label[:n], weights=kern.mu, minlength=n_comp)[free]
+        row_mass = np.bincount(label[:n], weights=kern.mu, minlength=len(forest.walled))[free]
+        shift = np.zeros(len(forest.walled))
         shift[free] = -_decreasing_root(
             lambda s: np.bincount(slot, weights=kern.col_target(ps[cols] + s[slot], cols)),
             lambda s: np.bincount(slot, weights=kern.col_target_slope(ps[cols] + s[slot], cols)),
             row_mass, kern.total_mass)
-    return phi + shift[label[:n]], ps - shift[label[n:]], label
+        phi += shift[label[:n]]
+        ps -= shift[label[n:]]
+    return phi, ps
 
 
-def _arc_masses(kern: _Kernel, support: np.ndarray, col_mass: np.ndarray):
-    """Arc masses that meet both marginals on a forest support, by leaf peeling.
+def _arc_masses(kern: _Kernel, forest: _Forest, col_mass: np.ndarray):
+    """Arc masses that meet both marginals on the forest, walked up to the root.
 
-    Nodes are the interior rows 0..n-1 (source mass mu) and columns
-    n..2n-1 (col_mass); an arc joins its row and column, and a wall arc
-    only its interior end, since walls carry no constraint. A node with one
-    unassigned arc left is a leaf: that arc takes the node's remaining
-    mass, which is then charged to its other end, so on a forest (the walls
-    counted as one node) every arc is fixed in O(|S|), as in network
-    simplex. Masses may come out negative. Returns the plan and the norm of
-    the marginal defect; an arc no leaf reaches lies on a cycle, whose
-    masses the marginals do not fix, and makes the residual infinite.
+    In reverse breadth-first order every node is a leaf of what is left:
+    the arc it hangs from takes the node's remaining need (source mass mu
+    on a row, col_mass on a column), which is then charged to its parent,
+    in O(|S|) as in network simplex. What reaches the root is taken or
+    given by the walls; what reaches a gauge edge is lost, and shows in the
+    marginal defect. Masses may come out negative. Returns the plan and the
+    norm of the marginal defect.
     """
     n = len(kern.mu)
-    idx_r, idx_c = np.nonzero(support)
-    n_arcs = len(idx_r)
-    row_end = np.where(idx_r < n, idx_r, -1)
-    col_end = np.where(idx_c < n, n + idx_c, -1)
-    ends = np.concatenate([row_end, col_end])
-    arcs = np.tile(np.arange(n_arcs), 2)[ends >= 0]
-    ends = ends[ends >= 0]
-    deg = np.bincount(ends, minlength=2 * n).tolist()
-    # with one arc left, the XOR of a node's unassigned arcs is that arc
-    last = np.zeros(2 * n, dtype=np.int64)
-    np.bitwise_xor.at(last, ends, arcs)
-    last = last.tolist()
-    need = np.concatenate([kern.mu, col_mass]).tolist()
-    row_end, col_end = row_end.tolist(), col_end.tolist()
-    mass = [math.nan] * n_arcs
-    leaves = [v for v in range(2 * n) if deg[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:
-            continue
-        k = last[v]
-        mass[k] = need[v]
-        need[v] = 0.0
-        deg[v] = 0
-        w = col_end[k] if row_end[k] == v else row_end[k]
-        if w >= 0:
-            need[w] -= mass[k]
-            deg[w] -= 1
-            last[w] ^= k
-            if deg[w] == 1:
-                leaves.append(w)
+    need = np.concatenate([kern.mu, col_mass, [0.0]]).tolist()
+    for v, p in zip(forest.node[::-1].tolist(), forest.parent[::-1].tolist()):
+        need[p] -= need[v]
+    on_arc = forest.arc_r >= 0
     gamma = np.zeros((n + 2, n + 2))
-    gamma[idx_r, idx_c] = mass
-    if any(deg):
-        return gamma, math.inf
+    gamma[forest.arc_r[on_arc], forest.arc_c[on_arc]] = np.array(need)[forest.node[on_arc]]
     defect = np.concatenate([gamma[:n].sum(axis=1) - kern.mu,
                              gamma[:, :n].sum(axis=0) - col_mass])
     return gamma, float(np.linalg.norm(defect))
@@ -443,30 +418,34 @@ def _arc_masses(kern: _Kernel, support: np.ndarray, col_mass: np.ndarray):
 def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray, stats: dict):
     """Machine-precision solve on an active arc set, pruning as needed.
 
-    Each pass sets the support's potentials and the column masses they
-    price, then peels the arc masses. A negative mass means its arc blocks
-    the balance; one deficit can turn a whole chain negative, so a pass
-    cuts only the most negative arc of each support component. Without
-    one, a residual above tolerance cuts the arcs at or below the mass
-    floor. Every pass that cuts counts in stats["prune_passes"]; the set
-    strictly shrinks, so the loop terminates. A support with a cycle is
-    returned as it is, with its infinite residual.
+    Each pass roots the support at the walls (_support_forest), reads the
+    potentials down the tree and the column masses they price, and then
+    the arc masses up the tree. A negative mass means its arc blocks the
+    balance; one deficit can turn a whole chain negative, so a pass cuts
+    only the most negative arc of each support component. Without one, a
+    residual above tolerance cuts the arcs at or below the mass floor.
+    Every pass that cuts counts in stats["prune_passes"]; the set strictly
+    shrinks, so the loop terminates. A support with a cycle, whose masses
+    the marginals do not fix, returns an infinite residual and no plan
+    before any potential is computed; cutting arcs makes no cycle, so only
+    the first pass can meet one.
     """
     n = cost.n_cells
     support = support.copy()
     mass_scale = max(kern.total_mass, 1e-300)
     for _ in range(2 * n + 4):
-        phi, ps, label = _potentials_on_support(kern, cost, support)
+        forest = _support_forest(n, support)
+        if forest is None:
+            return None, None, None, math.inf
+        phi, ps = _forest_potentials(kern, cost, forest)
         col_mass = np.maximum(kern.col_target(ps), 0.0)
-        gamma, resid = _arc_masses(kern, support, col_mass)
-        if math.isinf(resid):
-            break
+        gamma, resid = _arc_masses(kern, forest, col_mass)
         r, c = np.nonzero(gamma < 0.0)
         if len(r):
             # components share no arc, potential or gauge: cutting the most
             # negative arc of each at once is cutting them one at a time
             order = np.argsort(gamma[r, c])
-            comp = label[np.where(r < n, r, n + c)]
+            comp = forest.label[np.where(r < n, r, n + c)]
             first = np.unique(comp[order], return_index=True)[1]
             support[r[order][first], c[order][first]] = False
         elif resid <= 1e-11 * mass_scale:
@@ -540,8 +519,9 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     widths = np.maximum(np.diff(breaks, axis=1), 0.0)
     flat = widths == 0.0
     slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
-    fills = sparse.vstack([sparse.csr_matrix((n, n * k)),
-                           sparse.kron(sparse.eye(n), -np.ones((1, k)))])
+    # each column's balance row also takes its segment fills, negated
+    fill_rows = n + np.repeat(np.arange(n), k)
+    fill_vals = -np.ones(n * k)
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
     tol = _tight_tol(cost)
     pricing = 0
@@ -549,7 +529,12 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         idx_r, idx_c = np.nonzero(mask)
         n_arcs = len(idx_r)
         c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
-        a_eq = sparse.hstack([_incidence(n, idx_r, idx_c), fills], format="csr")
+        # an arc meets the balance rows of the nodes it joins; the root's
+        # row, the walls', is dropped
+        rows = np.r_[np.concatenate(_arc_nodes(n, idx_r, idx_c)), fill_rows]
+        cols = np.r_[np.tile(np.arange(n_arcs), 2), n_arcs + np.arange(n * k)]
+        a_eq = sparse.csr_matrix((np.r_[np.ones(2 * n_arcs), fill_vals], (rows, cols)),
+                                 shape=(2 * n + 1, n_arcs + n * k))[:2 * n]
         bounds = np.zeros((n_arcs + n * k, 2))
         bounds[:n_arcs, 1] = np.inf
         bounds[n_arcs:, 1] = widths.reshape(-1)
@@ -760,8 +745,7 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
 
     phi_full = np.concatenate([phi_i, [model.psi_lo, model.psi_hi]])
     ps_full = np.concatenate([ps_i, [-model.psi_lo, -model.psi_hi]])
-    report = extract_potentials(cost, model, kern.grid, gamma, h, phi_full, ps_full,
-                                weights=kern.col_mass(rho, h))
+    report = extract_potentials(cost, model, kern.grid, gamma, h, phi_full, ps_full)
     residuals = {
         "polish_gap": gap,
         "kkt_kappa": report.optimality_residual,
@@ -774,7 +758,6 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         rho=np.asarray(rho, dtype=float),
         phi=phi_full,
         phi_star=ps_full,
-        kappa=report.kappa,
         primal_value=primal_value,
         objective=objective,
         # the verified relative primal-dual gap is the convergence certificate
@@ -834,22 +817,19 @@ def extract_potentials(
     h: np.ndarray,
     phi: np.ndarray,
     phi_star: np.ndarray,
-    *,
-    weights: np.ndarray,
 ) -> PotentialReport:
-    """Dual-structure report: offset, price residual, feasibility and slack.
+    """Dual-structure report: price residual, feasibility and slack.
 
-    kappa is the median of phi* + cost_slope(h) over interior cells under
-    the column-mass weights; the optimality residual is the worst deviation from it. The
-    concavity gap is the positive part of phi + phi* - quadratic cost over
+    The optimality residual is the worst |phi* + cost_slope(h)| over
+    interior cells: h is the rate at price -phi*, so the price identity
+    holds with no offset and this measures its rounding. The concavity gap is the positive part of phi + phi* - quadratic cost over
     admissible pairs (wall potentials pinned), and the support slack the
     worst complementary-slackness violation on the plan's support.
     """
     n = cost.n_cells
     x = grid.cell_centers
     prices = model.cost_slope(h, x)
-    kappa = _weighted_median(phi_star[:n] + prices, weights)
-    optimality_residual = float(np.max(np.abs(phi_star[:n] + prices - kappa))) if n else 0.0
+    optimality_residual = float(np.max(np.abs(phi_star[:n] + prices))) if n else 0.0
 
     total = phi[:, None] + phi_star[None, :] - cost.quad
     total[cost.forbidden] = -np.inf
@@ -862,7 +842,6 @@ def extract_potentials(
     else:
         support_slack = 0.0
     return PotentialReport(
-        kappa=kappa,
         optimality_residual=optimality_residual,
         concavity_gap=concavity_gap,
         support_slack=max(support_slack, 0.0),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resflow import transport
+from resflow.flow import run_minimizing_movement
 
 from resflow import (
     Density,
@@ -234,15 +235,16 @@ def test_random_instances_satisfy_certificates(n, tau, seed, jko):
     assert sol.gamma[n:, n:].sum() == 0.0
 
 
-def test_solution_records_iterations_and_kappa(unit_model, grid8):
+def test_solution_records_iterations_and_price_identity(unit_model, grid8):
     mu = np.full(grid8.n_cells, 1.2) * grid8.cell_width
     sol = solve_jko_step(unit_model, grid8, 0.1, mu)
     assert sol.iterations >= 1
-    # at the optimum the interior prices sit at a single offset
+    # h is the rate at price -phi*, so the interior prices sit at offset 0
     interior = sol.phi_star[: grid8.n_cells] + unit_model.cost_slope(
         sol.h, grid8.cell_centers
     )
-    assert np.max(np.abs(interior - sol.kappa)) < 1e-8
+    assert np.max(np.abs(interior)) < 1e-8
+    assert sol.residuals["kkt_kappa"] == np.max(np.abs(interior))
 
 
 def _drifty_step_64():
@@ -394,7 +396,7 @@ def test_peeled_masses_meet_both_marginals(unit_model, seed):
     col_mass = rng.uniform(0.5, 1.5, n) * grid.cell_width
     kern = transport._Kernel(unit_model, grid, 0.1, mu, None)
     support = _random_forest(rng, n, n_comp=5)
-    gamma, resid = transport._arc_masses(kern, support, col_mass)
+    gamma, resid = transport._arc_masses(kern, transport._support_forest(n, support), col_mass)
     scale = 1e-12 * (mu.sum() + col_mass.sum())
     assert np.all(gamma[~support] == 0.0)
     assert np.max(np.abs(gamma[:n].sum(axis=1) - mu)) <= scale
@@ -411,12 +413,35 @@ def test_support_cycle_is_a_rejected_candidate(unit_model, grid8):
     plan = np.zeros((n + 2, n + 2))
     plan[np.arange(n), np.arange(n)] = grid8.cell_width
     plan[0, 1] = plan[1, 0] = 0.1 * grid8.cell_width
-    _, resid = transport._arc_masses(kern, plan > 0.0, mu)
-    assert resid == np.inf
+    assert transport._support_forest(n, plan > 0.0) is None
     stats = {"prune_passes": 0}
     with pytest.raises(StepFailure, match="reduced_residual") as err:
         transport._assemble_candidate(kern, cost, plan, stats)
     assert err.value.certificate == "reduced_residual"
+    assert stats["prune_passes"] == 0
+
+
+@pytest.mark.parametrize("wall_arcs", [
+    [(3, "lo"), (3, "hi")],   # one row feeds both walls
+    [(0, "lo"), ("hi", 0)],   # row 0 drains to one wall, column 0 fills from the other
+])
+def test_wall_cycle_is_a_rejected_candidate(unit_model, grid8, wall_arcs):
+    """The walls are one node: two wall arcs of one component close a cycle."""
+    n = grid8.n_cells
+    wall = {"lo": n, "hi": n + 1}
+    mu = np.full(n, grid8.cell_width)
+    kern = transport._Kernel(unit_model, grid8, 0.1, mu, None)
+    cost = build_cost_matrix(unit_model, grid8, 0.1)
+    plan = np.zeros((n + 2, n + 2))
+    plan[np.arange(n), np.arange(n)] = grid8.cell_width
+    for r, c in wall_arcs:
+        plan[wall.get(r, r), wall.get(c, c)] = 0.1 * grid8.cell_width
+    assert transport._support_forest(n, plan > 0.0) is None
+    stats = {"prune_passes": 0}
+    with pytest.raises(StepFailure, match="reduced_residual") as err:
+        transport._assemble_candidate(kern, cost, plan, stats)
+    assert err.value.certificate == "reduced_residual"
+    assert err.value.value == np.inf
     assert stats["prune_passes"] == 0
 
 
@@ -438,17 +463,24 @@ def test_prune_cuts_the_most_negative_arc(drifty_model, monkeypatch):
     support[cells, cells] = True
     support[cells[1:], cells[:-1]] = True
     support[n, 0] = True
-    passes = []
-    real = transport._arc_masses
+    supports, masses = [], []
+    real_forest, real_masses = transport._support_forest, transport._arc_masses
 
-    def recorded(kern, support, col_mass):
-        gamma, resid = real(kern, support, col_mass)
-        passes.append((support.copy(), gamma))
+    def forest_recorded(n, support):
+        supports.append(support.copy())
+        return real_forest(n, support)
+
+    def masses_recorded(kern, forest, col_mass):
+        gamma, resid = real_masses(kern, forest, col_mass)
+        masses.append(gamma)
         return gamma, resid
 
-    monkeypatch.setattr(transport, "_arc_masses", recorded)
+    monkeypatch.setattr(transport, "_support_forest", forest_recorded)
+    monkeypatch.setattr(transport, "_arc_masses", masses_recorded)
     stats = {"prune_passes": 0}
     _, _, gamma, resid = transport._reduced_solve(kern, cost, support, stats)
+    passes = list(zip(supports, masses))
+    assert len(supports) == len(masses)
     (first, masses), (second, _) = passes[:2]
     assert np.count_nonzero(masses < 0.0) >= 2
     worst = np.unravel_index(np.argmin(masses), masses.shape)
@@ -483,6 +515,30 @@ def test_gauge_root_takes_few_evaluations(monkeypatch):
     assert sol.converged
     assert evaluations
     assert np.mean(evaluations) <= 12
+
+
+def test_gauge_newton_does_not_circle_a_kink():
+    """Newton points that alternate around the gauge root must not stall the bracket.
+
+    On this trajectory the second step's balance gauge had Newton points on
+    either side of its root (0.451718 / 0.451848), each inside a bracket
+    1.3e-4 wide that never shrank, until the price root failed. A Newton
+    point is taken only where it at most halves the last step; bisection
+    does the rest.
+    """
+    model = build_model(0.0, 1.0, make_reaction("signed-power", w=1.3500069535363806,
+                                                alpha=0.29484691091624715,
+                                                q=0.5032053322171377),
+                        drift=(0.0, -0.8066799555665751),
+                        boundary_density=(1.0966439746233292, 0.9265801294016226))
+    grid = build_grid(0.0, 1.0, 44)
+    tau = 0.07602470491483837
+    rho0 = 1.0 + 0.07775328194260389 * np.sin(2 * np.pi * grid.cell_centers)
+    traj = run_minimizing_movement(model, grid, rho0, tau, 2 * tau, with_diagnostics=False)
+    assert len(traj.solutions) == 3
+    for sol in traj.solutions[1:]:
+        assert sol.converged
+        assert sol.residuals["polish_gap"] <= 1e-12
 
 
 def test_later_rounds_run_on_the_last_support(monkeypatch):
