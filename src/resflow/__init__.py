@@ -35,7 +35,6 @@ from .flow import (
     run_minimizing_movement,
     tau_refinement_study,
     telescoped_energy_bound,
-    trajectory_interpolate,
     weak_window_budget,
 )
 from .grid import Grid, build_grid
@@ -54,7 +53,6 @@ from .oracle import OracleResult, brute_force_small, certified_price_window
 from .reactions import REACTION_KINDS, ReactionLaw, make_reaction
 from .transport import (
     CostMatrix,
-    Density,
     SolverOptions,
     StepFailure,
     TransportSolution,
@@ -70,7 +68,6 @@ __all__ = [
     "BarrierCheckResult",
     "ConfigError",
     "CostMatrix",
-    "Density",
     "DiagnosticsReport",
     "ExperimentConfig",
     "FDSolution",
@@ -116,7 +113,6 @@ __all__ = [
     "solve_jko_step",
     "tau_refinement_study",
     "telescoped_energy_bound",
-    "trajectory_interpolate",
     "transported_mass_floor",
     "weak_residual",
     "weak_window_budget",

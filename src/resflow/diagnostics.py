@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import Grid
 from .model import Model
-from .transport import CostMatrix, TransportSolution, build_cost_matrix
+from .transport import TransportSolution, build_cost_matrix
 
 __all__ = [
     "DiagnosticsReport",
@@ -81,16 +81,12 @@ def run_diagnostics(
     h = solution.h
     floor = solution.mass_floor
 
+    disp = np.abs(nodes[:, None] - nodes[None, :])
     supported = gamma > floor
-    if np.any(supported):
-        disp = np.abs(nodes[:, None] - nodes[None, :])
-        max_displacement = float(np.max(disp[supported]))
-    else:
-        max_displacement = 0.0
+    max_displacement = float(np.max(disp[supported])) if np.any(supported) else 0.0
 
     boundary_flux = float(np.sum(gamma[n:, :n]) + np.sum(gamma[:n, n:]))
-    quad = build_cost_matrix(model, grid, tau).quad
-    quadratic_cost = float(np.sum(quad * gamma))
+    quadratic_cost = float(np.sum(disp ** 2 / (2.0 * tau) * gamma))
 
     transported = np.maximum(rho_after + tau * h, 1e-300)
     ratios = rho_after / transported
@@ -142,20 +138,6 @@ def created_mass_window(model: Model, grid: Grid, tau: float, h: np.ndarray) -> 
     return WindowReport(ok=margin >= -_WINDOW_SLACK, low=low, high=high, margin=margin)
 
 
-def _extended_cost(cost: CostMatrix, model: Model) -> np.ndarray:
-    """Arc costs with the wall adjustments applied on every pair.
-
-    Wall-to-wall entries get both adjustments (+psi at the target, -psi at
-    the source), the extension under which reservoir swaps are gauge-free
-    and support cycles through the walls stay comparable.
-    """
-    n = cost.n_cells
-    psi = np.array([model.psi_lo, model.psi_hi])
-    ext = cost.tilde.copy()
-    ext[n:, n:] = cost.quad[n:, n:] + (psi[None, :] - psi[:, None])
-    return ext
-
-
 def _supported_arcs(solution: TransportSolution, max_pairs: int) -> np.ndarray:
     gamma = solution.gamma
     rows, cols = np.nonzero(gamma > solution.mass_floor)
@@ -178,38 +160,36 @@ def perturbation_inequalities(
     Each inequality prices a local reroute of an optimal pair: redirecting
     transported mass to another interior target, to a wall, or replacing a
     wall trip by interior creation, must never pay less than the current
-    arrangement. Checked on the heaviest supported arcs plus the one
-    unconditional wall-creation comparison; returns max(violation, 0) with 0
-    meaning every sampled inequality holds.
+    arrangement. Every arc is priced by CostMatrix.tilde, which carries the
+    reservoir price on wall arcs. Checked on the heaviest supported arcs
+    plus the one unconditional wall-creation comparison; returns
+    max(violation, 0) with 0 meaning every sampled inequality holds.
     """
     n = grid.n_cells
     x = grid.cell_centers
-    cost = build_cost_matrix(model, grid, tau)
-    q = cost.quad
-    psi = np.array([model.psi_lo, model.psi_hi])
+    tilde = build_cost_matrix(model, grid, tau).tilde
     slope = model.cost_slope(solution.h, x)
 
     worst = 0.0
     # wall source vs interior creation, no support requirement
-    free = slope[None, :] + q[n:, :n] - psi[:, None]
+    free = slope[None, :] + tilde[n:, :n]
     worst = max(worst, float(np.max(-free)))
 
-    interior_price = slope[None, :] + q[:, :n]
-    wall_price = q[:n, n:] + psi[None, :]
+    interior_price = slope[None, :] + tilde[:, :n]
     for row, col in _supported_arcs(solution, max_pairs):
         if col < n:
             # redirect the arrival to any other interior cell
-            lhs = slope[col] + q[row, col]
+            lhs = slope[col] + tilde[row, col]
             worst = max(worst, lhs - float(np.min(interior_price[row])))
             if row < n:
                 # or send the same mass to a wall instead
-                worst = max(worst, lhs - float(np.min(wall_price[row])))
+                worst = max(worst, lhs - float(np.min(tilde[row, n:])))
         elif row < n:
             # wall trip vs creating the shortfall at any interior cell
-            lhs = q[row, col] + psi[col - n]
+            lhs = tilde[row, col]
             worst = max(worst, lhs - float(np.min(interior_price[row, :n])))
             other = n + (1 - (col - n))
-            worst = max(worst, lhs - (q[row, other] + psi[other - n]))
+            worst = max(worst, lhs - tilde[row, other])
     return worst
 
 
@@ -245,14 +225,16 @@ def cycle_monotonicity(
     """Worst cyclical-monotonicity violation over random support cycles.
 
     Draws 2- and 3-cycles of supported arcs (walls included) and compares
-    the supported assignment against its cyclic reroute under the extended
-    costs; wall-to-wall reroutes are allowed at their gauge-adjusted price.
-    Returns the most positive saving found, 0 when no reroute wins.
+    the supported assignment against its cyclic reroute under the arc price
+    CostMatrix.tilde. A reroute may pass wall to wall: tilde prices that
+    arc too, at the quadratic cost plus the difference of the two reservoir
+    prices, under which reservoir swaps are gauge-free. Returns the most
+    positive saving found, 0 when no reroute wins.
     """
     arcs = _supported_arcs(solution, max_pairs=10_000)
     if arcs.shape[0] < 2:
         return 0.0
-    ext = _extended_cost(build_cost_matrix(model, grid, tau), model)
+    tilde = build_cost_matrix(model, grid, tau).tilde
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cycles):
@@ -262,8 +244,8 @@ def cycle_monotonicity(
         pick = rng.choice(arcs.shape[0], size=k, replace=False)
         rows = arcs[pick, 0]
         cols = arcs[pick, 1]
-        current = float(np.sum(ext[rows, cols]))
-        rerouted = float(np.sum(ext[rows, np.roll(cols, 1)]))
+        current = float(np.sum(tilde[rows, cols]))
+        rerouted = float(np.sum(tilde[rows, np.roll(cols, 1)]))
         worst = max(worst, current - rerouted)
     return worst
 

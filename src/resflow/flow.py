@@ -3,8 +3,8 @@
 Each step feeds the previous density back as the transport source, warm
 starting the solver with the prices it produced last time. The module also
 owns the envelope bookkeeping (time-decaying lower and static upper density
-barriers), the per-step dissipation ledger, piecewise-constant time lookup,
-and the step-size refinement study against the finite-difference reference.
+barriers), the per-step dissipation ledger, and the step-size refinement
+study against the finite-difference reference.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .fdref import FDSolution, compare_trajectories, solve_fd
 from .grid import Grid, build_grid
 from .model import Model
 from .transport import (
-    Density,
     SolverOptions,
     StepFailure,
     TransportSolution,
@@ -39,7 +38,6 @@ __all__ = [
     "calibrate_barriers",
     "run_minimizing_movement",
     "barrier_check",
-    "trajectory_interpolate",
     "dissipation_ledger",
     "telescoped_energy_bound",
     "weak_window_budget",
@@ -237,7 +235,7 @@ def run_minimizing_movement(
         solutions.append(sol)
         densities[k + 1] = rho_next
         rho = rho_next
-        warm = sol.phi_star[: grid.n_cells]
+        warm = sol.phi_star
 
     return Trajectory(
         grid=grid,
@@ -287,15 +285,6 @@ def barrier_check(trajectory: Trajectory) -> BarrierCheckResult:
         margins=margins,
         continuum_ok=continuum_ok,
     )
-
-
-def trajectory_interpolate(trajectory: Trajectory, t: float) -> Density:
-    """Piecewise-constant lookup: the snapshot with index floor(t / tau)."""
-    t = float(t)
-    if t < -1e-12 or t > trajectory.t_final + 1e-12:
-        raise ValueError(f"t={t!r} outside [0, {trajectory.t_final!r}]")
-    idx = min(int(math.floor(max(t, 0.0) / trajectory.tau + 1e-9)), trajectory.n_steps)
-    return Density.from_density(trajectory.densities[idx], trajectory.grid)
 
 
 @dataclass(frozen=True)

@@ -22,24 +22,26 @@ diagonal plus every cell-wall arc in the first round, and the last plan's
 support widened by one cell plus the cell-wall arcs in every later one.
 After each solve the LP duals price every excluded arc, and arcs with
 negative reduced cost join the shortlist until none is left, so each LP
-optimum is the optimum over all admissible arcs (Gottschlich &
-Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016). Each wall is a
-reservoir that gives or takes any mass, so both walls are one root node
-with no balance row. The support of the LP plan, a spanning forest as
-every basic transportation plan is (Peyre & Cuturi, Computational Optimal
-Transport, 2019, sec. 3.4-3.5), is snapped to machine precision on one
-tree rooted at the walls: one breadth-first walk tests it for a cycle and
-gives the duals top down and the arc masses bottom up, in O(|S|) as in
+optimum is the optimum over all admissible arcs (Gottschlich & Schuhmacher,
+PLoS ONE 2014; Schmitzer, JMIV 2016). Each wall is a reservoir that gives
+or takes any mass, so both walls are one root node with no balance row and
+dual 0. Its reservoir price enters only through the one arc price
+CostMatrix.tilde, on the arcs to and from it, and every dual of the step is
+a price against that table. The support of the LP plan, a spanning forest
+as every basic transportation plan is (Peyre & Cuturi, Computational
+Optimal Transport, 2019, sec. 3.4-3.5), is snapped to machine precision on
+one tree rooted at the walls: one breadth-first walk tests it for a cycle
+and gives the duals top down and the arc masses bottom up, in O(|S|) as in
 network simplex. The duals are then made exactly feasible by a double
 c-transform, and the verified primal-dual gap certifies the step. A
 candidate whose support cannot carry or balance the marginals, or holds a
-cycle, is rejected like one whose gap is too large; there is no fallback:
-a step returns its last assembled candidate, whose gap decides
-`converged`, or raises StepFailure naming the failed certificate. The one
-root search, a safeguarded Newton iteration, serves the balance gauge of
-support components with no wall arc. The creation field and (for
-implicit steps) the density are defined through the dual prices, so the
-marginal-cost identities hold by construction, with no offset.
+cycle, is rejected like one whose gap is too large; there is no fallback: a
+step returns its last assembled candidate, whose gap decides `converged`,
+or raises StepFailure naming the failed certificate. The one root search, a
+safeguarded Newton iteration, serves the balance gauge of support
+components with no wall arc. The creation field and (for implicit steps)
+the density are defined through the dual prices, so the marginal-cost
+identities hold by construction, with no offset.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from .grid import Grid
 from .model import Model
 
 __all__ = [
-    "Density",
     "CostMatrix",
     "SolverOptions",
     "TransportSolution",
@@ -73,40 +74,18 @@ _MASS_FLOOR_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
-class Density:
-    """Nonnegative cell masses on the interior mesh."""
-
-    cell_mass: np.ndarray
-    cell_width: float
-
-    def __post_init__(self):
-        mass = np.asarray(self.cell_mass, dtype=float)
-        if np.any(mass < 0.0):
-            raise ValueError("cell masses must be nonnegative")
-        object.__setattr__(self, "cell_mass", mass)
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.cell_mass / self.cell_width
-
-    @classmethod
-    def from_density(cls, values: np.ndarray, grid: Grid) -> "Density":
-        return cls(cell_mass=np.asarray(values, dtype=float) * grid.cell_width,
-                   cell_width=grid.cell_width)
-
-
-@dataclass(frozen=True)
 class CostMatrix:
-    """Pairwise step costs on [interior cells..., lower wall, upper wall].
+    """Arc prices on [interior cells..., lower wall, upper wall].
 
-    quad is the plain squared-distance cost |x-y|^2/(2 tau); tilde adds the
-    reservoir price on wall arcs and +inf on the forbidden wall-to-wall block.
+    tilde is the squared-distance cost |x-y|^2/(2 tau) plus psi(y) - psi(x),
+    where psi is 0 on cells and the reservoir potential on each wall: mass
+    leaving to a wall pays its price, mass entering from one is credited
+    it. This is the one arc price of the step; every dual that reads it
+    puts both walls at 0. The wall-to-wall block is finite, but no plan
+    holds it: the LP never carries those arcs.
     """
 
-    quad: np.ndarray
     tilde: np.ndarray
-    forbidden: np.ndarray
-    tau: float
     n_cells: int
 
 
@@ -117,14 +96,15 @@ def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
     nodes = np.concatenate([grid.cell_centers, [grid.x_lo, grid.x_hi]])
     n = grid.n_cells
     quad = (nodes[:, None] - nodes[None, :]) ** 2 / (2.0 * tau)
-    psi = np.array([model.psi_lo, model.psi_hi])
-    tilde = quad.copy()
-    tilde[:n, n:] += psi[None, :]   # mass leaving pays the reservoir price
-    tilde[n:, :n] -= psi[:, None]   # mass entering is credited it
-    forbidden = np.zeros_like(quad, dtype=bool)
-    forbidden[n:, n:] = True
-    tilde[forbidden] = np.inf
-    return CostMatrix(quad=quad, tilde=tilde, forbidden=forbidden, tau=tau, n_cells=n)
+    psi = np.concatenate([np.zeros(n), [model.psi_lo, model.psi_hi]])
+    return CostMatrix(tilde=quad + (psi[None, :] - psi[:, None]), n_cells=n)
+
+
+def _admissible(n: int) -> np.ndarray:
+    """The arcs a plan may use: every pair but wall to wall."""
+    allowed = np.ones((n + 2, n + 2), dtype=bool)
+    allowed[n:, n:] = False
+    return allowed
 
 
 @dataclass(frozen=True)
@@ -139,14 +119,14 @@ class TransportSolution:
     """Converged step: plan, creation field, target density and dual prices.
 
     gamma rows/cols are ordered interior-then-walls as in CostMatrix. phi and
-    phi_star carry the wall values pinned to +/- the reservoir potential in
-    their last two slots. h is the rate at price -phi_star, so phi_star +
-    cost_slope(h) = 0 with no offset. iterations counts the
-    breakpoint-refinement rounds of the polish; residuals holds named
-    convergence measures. stats counts what the step did: lp_rounds (LP
+    phi_star are the n interior row and column prices against the arc price
+    CostMatrix.tilde, with both walls at price 0. h is the rate at price
+    -phi_star, so phi_star + cost_slope(h) = 0 with no offset. iterations
+    counts the breakpoint-refinement rounds of the polish; residuals holds
+    named convergence measures. stats counts what the step did: lp_rounds (LP
     solves, pricing re-solves included), lp_arcs (the largest arc count of
-    those LPs), pricing_rounds (re-solves after dual pricing added arcs to
-    the shortlist), rejected_candidates (candidates assembled and discarded
+    those LPs), pricing_rounds (re-solves after dual pricing added arcs to the
+    shortlist), rejected_candidates (candidates assembled and discarded
     because their gap was too large or their support could not carry or
     balance the marginals, or held a cycle) and prune_passes (reduced-solve
     passes that cut arcs from a candidate's support).
@@ -214,7 +194,6 @@ class _Kernel:
         x = grid.cell_centers
         self.x = x
         self.dx = grid.cell_width
-        self.psi = np.array([model.psi_lo, model.psi_hi])
         self.v = np.asarray(model.drift(x), dtype=float)
         self.total_mass = float(np.sum(mu))
 
@@ -490,10 +469,12 @@ def _band_cells(tau: float, dx: float) -> int:
     return 2 + math.ceil(tau / dx)
 
 
-def _tight_tol(cost: CostMatrix) -> float:
-    """Reduced-cost tolerance below which an excluded arc counts as violated."""
-    q = cost.quad
-    return 1e-9 * (1.0 + float(np.max(np.abs(q[np.isfinite(q)]))))
+def _tight_tol(kern: _Kernel) -> float:
+    """Reduced-cost tolerance below which an excluded arc counts as violated.
+
+    It scales with the largest squared-distance cost, that of wall to wall.
+    """
+    return 1e-9 * (1.0 + kern.grid.length ** 2 / (2.0 * kern.tau))
 
 
 def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarray,
@@ -523,7 +504,7 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     fill_rows = n + np.repeat(np.arange(n), k)
     fill_vals = -np.ones(n * k)
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
-    tol = _tight_tol(cost)
+    tol = _tight_tol(kern)
     pricing = 0
     while True:
         idx_r, idx_c = np.nonzero(mask)
@@ -548,13 +529,15 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         )
         if not res.success:
             raise StepFailure("joint_lp", res.status, f"joint refinement LP: {res.message}")
-        # walls carry no balance row, so their dual is zero
-        u = np.r_[res.eqlin.marginals[:n], 0.0, 0.0]
-        v = np.r_[res.eqlin.marginals[n:], 0.0, 0.0]
-        entering = ~mask & (cost.tilde - u[:, None] - v[None, :] < -tol)
+        # walls carry no balance row, so their dual is zero; every cell-wall
+        # arc is always in the mask, and no wall-to-wall arc ever is, so
+        # only cell-to-cell arcs are priced
+        u = res.eqlin.marginals[:n]
+        v = res.eqlin.marginals[n:]
+        entering = ~mask[:n, :n] & (cost.tilde[:n, :n] - u[:, None] - v[None, :] < -tol)
         if not np.any(entering):
             break
-        mask |= entering
+        mask[:n, :n] |= entering
         pricing += 1
     gamma = np.zeros((n + 2, n + 2))
     gamma[idx_r, idx_c] = res.x[:n_arcs]
@@ -589,7 +572,7 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     """
     n = cost.n_cells
     # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
-    mask = ~cost.forbidden
+    mask = _admissible(n)
     cells = np.arange(n)
     mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
     stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0,
@@ -669,19 +652,18 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     density and creation field of the candidate; its prune passes count in
     stats. A support that cannot carry the marginals, or holds a cycle,
     raises StepFailure(reduced_residual); one whose balance gauge has no
-    root raises StepFailure(price_root). Potentials
-    are made exactly feasible by a double c-transform, and the verified
-    primal-dual gap certifies the candidate: at a true optimum it vanishes
-    to rounding.
+    root raises StepFailure(price_root). Potentials are made exactly
+    feasible by a double c-transform over tilde, the walls at price 0, and
+    the verified primal-dual gap certifies the candidate: at a true optimum
+    it vanishes to rounding.
     """
     model = kern.model
     x = kern.x
     dx = kern.dx
     tau = kern.tau
     n = cost.n_cells
-    q = cost.quad
-    psi = kern.psi
-    allowed = ~cost.forbidden
+    tilde = cost.tilde
+    allowed = _admissible(n)
     mass_scale = max(kern.total_mass, 1e-300)
 
     support = (gamma_joint > _MASS_FLOOR_FACTOR * mass_scale) & allowed
@@ -691,19 +673,17 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
                           "reduced solve on the plan support misses the marginals")
     h = model.rate_at_price(-ps_out, x)
     rho = kern.rho_at(ps_out)
-    primal = float(np.sum(gamma[allowed] * cost.tilde[allowed])) \
+    primal = float(np.sum(gamma[allowed] * tilde[allowed])) \
         + tau * dx * float(np.sum(model.cost(h, x)))
     value = primal
     if kern.jko:
         value += dx * float(np.sum(model.free_energy.density(rho, x)))
 
-    # feasibility repair: exact double c-transform, lowering only entries
-    # that violate a constraint and leaving tight arcs untouched
-    beta_row = np.min(q[:n, n:] + psi[None, :], axis=1)
-    beta_col = np.min(q[n:, :n] - psi[:, None], axis=0)
-    ps_out = np.minimum(ps_out, beta_col)
-    ps_out = np.minimum(ps_out, np.min(q[:n, :n] - phi_out[:, None], axis=0))
-    phi_out = np.minimum(beta_row, np.min(q[:n, :n] - ps_out[None, :], axis=1))
+    # feasibility repair: exact double c-transform over tilde with the walls
+    # at price 0, lowering only entries that violate a constraint and
+    # leaving tight arcs untouched
+    ps_out = np.minimum(ps_out, np.min(tilde[:, :n] - np.r_[phi_out, 0.0, 0.0][:, None], axis=0))
+    phi_out = np.min(tilde[:n] - np.r_[ps_out, 0.0, 0.0][None, :], axis=1)
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
     return gamma, h, rho, phi_out, ps_out, primal, value, abs(gap)
@@ -727,7 +707,6 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
     """Polish from the seed price, then certify and package the optimum."""
     model = kern.model
     x = kern.x
-    dx = kern.dx
     tau = kern.tau
     n = kern.grid.n_cells
     cost = build_cost_matrix(model, kern.grid, tau)
@@ -740,12 +719,10 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         if phi_star.shape != (n,):
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
-    (gamma, h, rho, phi_i, ps_i, primal_value, objective, gap), rounds, stats = \
+    (gamma, h, rho, phi, ps, primal_value, objective, gap), rounds, stats = \
         _polish(kern, cost, phi_star)
 
-    phi_full = np.concatenate([phi_i, [model.psi_lo, model.psi_hi]])
-    ps_full = np.concatenate([ps_i, [-model.psi_lo, -model.psi_hi]])
-    report = extract_potentials(cost, model, kern.grid, gamma, h, phi_full, ps_full)
+    report = extract_potentials(cost, model, kern.grid, gamma, h, phi, ps)
     residuals = {
         "polish_gap": gap,
         "kkt_kappa": report.optimality_residual,
@@ -756,8 +733,8 @@ def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
         gamma=gamma,
         h=h,
         rho=np.asarray(rho, dtype=float),
-        phi=phi_full,
-        phi_star=ps_full,
+        phi=phi,
+        phi_star=ps,
         primal_value=primal_value,
         objective=objective,
         # the verified relative primal-dual gap is the convergence certificate
@@ -820,27 +797,27 @@ def extract_potentials(
 ) -> PotentialReport:
     """Dual-structure report: price residual, feasibility and slack.
 
-    The optimality residual is the worst |phi* + cost_slope(h)| over
-    interior cells: h is the rate at price -phi*, so the price identity
-    holds with no offset and this measures its rounding. The concavity gap is the positive part of phi + phi* - quadratic cost over
-    admissible pairs (wall potentials pinned), and the support slack the
-    worst complementary-slackness violation on the plan's support.
+    phi and phi_star are the interior prices against CostMatrix.tilde, both
+    walls at price 0. The optimality residual is the worst |phi* +
+    cost_slope(h)| over interior cells: h is the rate at price -phi*, so
+    the price identity holds with no offset and this measures its rounding.
+    The concavity gap is the positive part of phi + phi* - tilde over
+    admissible pairs, and the support slack the worst complementary-slackness
+    violation on the plan's support.
     """
     n = cost.n_cells
     x = grid.cell_centers
     prices = model.cost_slope(h, x)
-    optimality_residual = float(np.max(np.abs(phi_star[:n] + prices))) if n else 0.0
+    optimality_residual = float(np.max(np.abs(phi_star + prices))) if n else 0.0
 
-    total = phi[:, None] + phi_star[None, :] - cost.quad
-    total[cost.forbidden] = -np.inf
+    allowed = _admissible(n)
+    total = np.r_[phi, 0.0, 0.0][:, None] + np.r_[phi_star, 0.0, 0.0][None, :] - cost.tilde
+    total[~allowed] = -np.inf
     concavity_gap = float(np.max(np.maximum(total, 0.0)))
 
     floor = _MASS_FLOOR_FACTOR * max(float(np.sum(gamma)), 1e-300)
-    support = (gamma > floor) & (~cost.forbidden)
-    if np.any(support):
-        support_slack = float(np.max(cost.quad[support] - (phi[:, None] + phi_star[None, :])[support]))
-    else:
-        support_slack = 0.0
+    support = (gamma > floor) & allowed
+    support_slack = float(np.max(-total[support])) if np.any(support) else 0.0
     return PotentialReport(
         optimality_residual=optimality_residual,
         concavity_gap=concavity_gap,

@@ -13,7 +13,6 @@ from resflow import (
     run_minimizing_movement,
     tau_refinement_study,
     telescoped_energy_bound,
-    trajectory_interpolate,
     weak_window_budget,
 )
 
@@ -65,22 +64,6 @@ def test_solutions_carry_diagnostics(decaying_traj):
         assert sol.converged
         assert sol.diagnostics is not None
         assert sol.diagnostics.optimality_residual <= 1e-6
-
-
-def test_interpolation_conventions(decaying_traj):
-    d0 = trajectory_interpolate(decaying_traj, 0.0)
-    assert np.array_equal(d0.density, decaying_traj.densities[0])
-    mid = trajectory_interpolate(decaying_traj, 0.15)
-    assert np.array_equal(mid.density, decaying_traj.densities[1])
-    end = trajectory_interpolate(decaying_traj, 0.4)
-    assert np.array_equal(end.density, decaying_traj.densities[-1])
-    # exact multiples belong to the later snapshot
-    at_tau = trajectory_interpolate(decaying_traj, 0.1)
-    assert np.array_equal(at_tau.density, decaying_traj.densities[1])
-    with pytest.raises(ValueError):
-        trajectory_interpolate(decaying_traj, 0.41)
-    with pytest.raises(ValueError):
-        trajectory_interpolate(decaying_traj, -0.01)
 
 
 def test_barrier_calibration_tight_for_stationary(unit_model, grid16):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resflow import transport
+from resflow import diagnostics, transport
 from resflow.flow import run_minimizing_movement
 
 from resflow import (
-    Density,
     SolverOptions,
     StepFailure,
     build_cost_matrix,
@@ -25,45 +24,32 @@ from resflow import (
 def test_cost_matrix_structure(unit_model, grid8):
     cost = build_cost_matrix(unit_model, grid8, tau=0.1)
     n = grid8.n_cells
-    assert cost.quad.shape == (n + 2, n + 2)
-    assert np.allclose(cost.quad, cost.quad.T)
-    assert np.all(np.diag(cost.quad) == 0.0)
-    # wall-to-wall arcs are forbidden in both directions
-    assert cost.forbidden[n:, n:].all()
-    assert not cost.forbidden[:n].any()
-    assert np.isinf(cost.tilde[n + 1, n])
+    assert cost.n_cells == n
+    assert cost.tilde.shape == (n + 2, n + 2)
+    cells = cost.tilde[:n, :n]
+    assert np.array_equal(cells, cells.T)
+    assert np.all(np.diag(cells) == 0.0)
+    assert np.all(np.isfinite(cost.tilde))
     with pytest.raises(ValueError):
         build_cost_matrix(unit_model, grid8, tau=0.0)
 
 
 def test_wall_arcs_price_the_reservoir(drifty_model, grid8):
-    cost = build_cost_matrix(drifty_model, grid8, tau=0.2)
+    """Mass leaving to a wall pays its reservoir price, mass entering is credited it."""
+    tau = 0.2
+    cost = build_cost_matrix(drifty_model, grid8, tau=tau)
     n = grid8.n_cells
-    quad = cost.quad[0, n + 1]
-    assert cost.tilde[0, n + 1] == pytest.approx(quad + drifty_model.psi_hi)
-    assert cost.tilde[n + 1, 0] == pytest.approx(quad - drifty_model.psi_hi)
-
-
-def test_density_wrapper_roundtrip(grid8):
-    values = np.linspace(0.5, 2.0, grid8.n_cells)
-    d = Density.from_density(values, grid8)
-    assert np.allclose(d.density, values)
-    assert np.allclose(d.cell_mass, values * grid8.cell_width)
-    with pytest.raises(ValueError):
-        Density(cell_mass=np.array([-0.1, 1.0]), cell_width=0.5)
-
-
-@pytest.mark.parametrize("cell_mass, cell_width", [
-    (np.full(5, 0.2), 0.2),     # too few cells for the grid
-    (np.full(8, 0.125), 0.5),   # right count, wrong cell width
-])
-def test_solves_take_cell_masses_not_densities(unit_model, grid8, cell_mass, cell_width):
-    """A Density is not an array of cell masses; no solve unwraps it unchecked."""
-    wrapped = Density(cell_mass=cell_mass, cell_width=cell_width)
-    with pytest.raises(TypeError):
-        solve_fixed_target(unit_model, grid8, 0.1, wrapped, np.ones(grid8.n_cells))
-    with pytest.raises(TypeError):
-        solve_jko_step(unit_model, grid8, 0.1, wrapped)
+    psi_lo, psi_hi = drifty_model.psi_lo, drifty_model.psi_hi
+    quad = (grid8.x_hi - grid8.cell_centers[0]) ** 2 / (2.0 * tau)
+    assert cost.tilde[0, n + 1] == pytest.approx(quad + psi_hi)
+    assert cost.tilde[n + 1, 0] == pytest.approx(quad - psi_hi)
+    quad = (grid8.cell_centers[0] - grid8.x_lo) ** 2 / (2.0 * tau)
+    assert cost.tilde[0, n] == pytest.approx(quad + psi_lo)
+    assert cost.tilde[n, 0] == pytest.approx(quad - psi_lo)
+    # wall to wall: the quadratic cost plus the difference of both prices
+    wall = grid8.length ** 2 / (2.0 * tau)
+    assert cost.tilde[n, n + 1] == pytest.approx(wall + psi_hi - psi_lo)
+    assert cost.tilde[n + 1, n] == pytest.approx(wall + psi_lo - psi_hi)
 
 
 def test_stationary_step_is_exact_fixed_point(unit_model, grid16):
@@ -170,7 +156,7 @@ def test_warm_start_reproduces_cold_solution(unit_model, grid16):
     rho0 = 1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)
     mu = rho0 * grid16.cell_width
     cold = solve_jko_step(unit_model, grid16, 0.05, mu)
-    warm_opts = SolverOptions(init_phi_star=cold.phi_star[: grid16.n_cells])
+    warm_opts = SolverOptions(init_phi_star=cold.phi_star)
     warm = solve_jko_step(unit_model, grid16, 0.05, mu, warm_opts)
     assert warm.converged
     assert np.max(np.abs(warm.rho - cold.rho)) < 1e-9
@@ -240,11 +226,13 @@ def test_solution_records_iterations_and_price_identity(unit_model, grid8):
     sol = solve_jko_step(unit_model, grid8, 0.1, mu)
     assert sol.iterations >= 1
     # h is the rate at price -phi*, so the interior prices sit at offset 0
-    interior = sol.phi_star[: grid8.n_cells] + unit_model.cost_slope(
+    interior = sol.phi_star + unit_model.cost_slope(
         sol.h, grid8.cell_centers
     )
     assert np.max(np.abs(interior)) < 1e-8
     assert sol.residuals["kkt_kappa"] == np.max(np.abs(interior))
+    # the walls sit at price 0: phi and phi_star hold the interior prices only
+    assert sol.phi.shape == sol.phi_star.shape == (grid8.n_cells,)
 
 
 def _drifty_step_64():
@@ -343,7 +331,7 @@ def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
     mu = (1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)) * grid16.cell_width
     cold = solve_jko_step(unit_model, grid16, 0.05, mu)
     warm = solve_jko_step(unit_model, grid16, 0.05, mu,
-                          SolverOptions(init_phi_star=cold.phi_star[: grid16.n_cells]))
+                          SolverOptions(init_phi_star=cold.phi_star))
     for sol in (self_step, warm):
         assert sol.converged
         assert sol.iterations == 1
@@ -568,7 +556,7 @@ def test_zero_width_segments_hold_no_fill(unit_model, grid8):
     seed = -unit_model.cost_slope(np.zeros(n), grid8.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 11)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    mask = ~cost.forbidden
+    mask = transport._admissible(n)
     _, pos, _, _ = transport._joint_lp(kern, cost, breaks, xi, mask.copy())
     # two more breakpoints at the first mass, each cheaper than the last
     tied_breaks = np.concatenate([breaks[:, :1], breaks[:, :1], breaks], axis=1)
@@ -576,3 +564,62 @@ def test_zero_width_segments_hold_no_fill(unit_model, grid8):
     _, tied_pos, _, _ = transport._joint_lp(kern, cost, tied_breaks, tied_xi, mask.copy())
     assert np.all(np.isfinite(tied_pos))
     assert np.allclose(tied_pos, pos, atol=1e-9)
+
+
+def test_negative_wall_to_wall_price_stays_out_of_the_plan():
+    """The wall-to-wall block of tilde is finite, here negative, yet never carries mass.
+
+    Walls 0.4/1.5 with drift slope 0.3 and tau 1 price the upper-to-lower
+    wall arc below 0. Both walls are the root, with no balance row, so a
+    wall-to-wall arc in the LP would make it unbounded; dual pricing must
+    never add one.
+    """
+    model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
+                        drift=(0.0, 0.3), boundary_density=(0.4, 1.5))
+    grid = build_grid(0.0, 1.0, 24)
+    rho0 = 1.0 + 0.1 * np.sin(np.pi * grid.cell_centers)
+    n = grid.n_cells
+    tau = 1.0
+    cost = build_cost_matrix(model, grid, tau)
+    assert cost.tilde[n + 1, n] < -1.0
+
+    mu = rho0 * grid.cell_width
+    kern = transport._Kernel(model, grid, tau, mu, None)
+    seed = -model.cost_slope(np.zeros(n), grid.cell_centers)
+    prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 13)[None, :]
+    breaks, xi = transport._xi_table(kern, prices)
+    mask = transport._admissible(n)
+    mask[:n, :n] = np.eye(n, dtype=bool)
+    transport._joint_lp(kern, cost, breaks, xi, mask)
+    assert not mask[n:, n:].any()
+    assert mask[:n, n:].all() and mask[n:, :n].all()
+
+    cold = solve_jko_step(model, grid, tau, mu)
+    traj = run_minimizing_movement(model, grid, rho0, tau, 3 * tau, with_diagnostics=False)
+    assert len(traj.solutions) == 4
+    for sol in (cold, *traj.solutions[1:]):
+        assert sol.converged
+        assert np.all(sol.gamma[n:, n:] == 0.0)
+        assert sol.residuals["concavity_gap"] <= 1e-9
+
+
+def _readers(module, attrs):
+    """Top-level functions and classes of a module that read any of attrs."""
+    readers = set()
+    for top in ast.parse(Path(module.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in attrs:
+                readers.add(getattr(top, "name", None))
+    return readers
+
+
+def test_reservoir_price_is_read_once():
+    """The reservoir price enters transport only through build_cost_matrix.
+
+    Everything else reads the arc price tilde with both walls at price 0.
+    created_mass_window reads the potentials for its a-priori rate window
+    and prices no arc.
+    """
+    psi = {"psi_lo", "psi_hi"}
+    assert _readers(transport, psi) == {"build_cost_matrix"}
+    assert _readers(diagnostics, psi) == {"created_mass_window"}
