@@ -13,13 +13,15 @@ free energy (implicit step of the minimizing-movement scheme).
 Architecture: the column masses are the only coupling between the plan and
 the reaction/energy terms, and their eliminated per-column cost is convex.
 A joint LP over transport arcs and piecewise-linear column costs is
-re-solved with breakpoint windows that shrink around its optimum. The
-breakpoints are prices, whose column masses and costs are explicit; the
-first windows are centred on a seed price (the zero-rate price on a cold
-step, the previous step's prices on a warm one). The LP carries only a
-shortlist of arcs: a band of about one step's displacement around the
-diagonal plus every cell-wall arc in the first round, and the last plan's
-support widened by one cell plus the cell-wall arcs in every later one.
+re-solved with breakpoint windows that shrink around its optimum; HiGHS
+solves it by dual simplex, presolve off, through the binding scipy bundles
+(Huangfu & Hall, Math. Prog. Comp. 2018). The breakpoints are prices,
+whose column masses and costs are explicit; the first windows are centred
+on a seed price (the zero-rate price on a cold step, the previous step's
+prices on a warm one). The LP carries only a shortlist of arcs: a band of
+about one step's displacement around the diagonal plus every cell-wall arc
+in the first round, and the last plan's support widened by one cell plus
+the cell-wall arcs in every later one.
 After each solve the LP duals price every excluded arc, and arcs with
 negative reduced cost join the shortlist until none is left, so each LP
 optimum is the optimum over all admissible arcs (Gottschlich & Schuhmacher,
@@ -52,7 +54,9 @@ from typing import Any, NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.optimize import linprog
+# HiGHS's own binding, the one scipy.optimize.linprog drives: the private
+# module scipy.optimize._highspy._core (hence the scipy floor in pyproject.toml)
+from scipy.optimize._highspy import _core as _highs
 
 from .grid import Grid
 from .model import Model
@@ -162,10 +166,11 @@ class StepFailure(RuntimeError):
 
     certificate names the failed check (joint_lp, reduced_residual,
     lp_rounds, polish_gap or price_root), value is what it measured, and
-    context says where the step ran. A step raises reduced_residual or
-    price_root only when the last candidate it assembled failed that way;
-    reduced_residual reads inf when that candidate's support held a cycle,
-    the walls counted as one node.
+    context says where the step ran. For joint_lp the value is HiGHS's
+    model status, such as 8 for infeasible or 10 for unbounded. A step
+    raises reduced_residual or price_root only when the last candidate it
+    assembled failed that way; reduced_residual reads inf when that
+    candidate's support held a cycle, the walls counted as one node.
     """
 
     def __init__(self, certificate: str, value: float, context: str = "exact step"):
@@ -495,14 +500,10 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     pricing re-solves and the arc count of the last (largest) solve.
     """
     n = cost.n_cells
-    k = breaks.shape[1] - 1
     # a segment of masses tied by rounding holds no fill and costs nothing
     widths = np.maximum(np.diff(breaks, axis=1), 0.0)
     flat = widths == 0.0
     slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
-    # each column's balance row also takes its segment fills, negated
-    fill_rows = n + np.repeat(np.arange(n), k)
-    fill_vals = -np.ones(n * k)
     b_eq = np.concatenate([kern.mu, breaks[:, 0]])
     tol = _tight_tol(kern)
     pricing = 0
@@ -510,40 +511,78 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
         idx_r, idx_c = np.nonzero(mask)
         n_arcs = len(idx_r)
         c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
-        # an arc meets the balance rows of the nodes it joins; the root's
-        # row, the walls', is dropped
-        rows = np.r_[np.concatenate(_arc_nodes(n, idx_r, idx_c)), fill_rows]
-        cols = np.r_[np.tile(np.arange(n_arcs), 2), n_arcs + np.arange(n * k)]
-        a_eq = sparse.csr_matrix((np.r_[np.ones(2 * n_arcs), fill_vals], (rows, cols)),
-                                 shape=(2 * n + 1, n_arcs + n * k))[:2 * n]
-        bounds = np.zeros((n_arcs + n * k, 2))
-        bounds[:n_arcs, 1] = np.inf
-        bounds[n_arcs:, 1] = widths.reshape(-1)
-        res = linprog(
-            c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-            options={
-                "presolve": False,
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if not res.success:
-            raise StepFailure("joint_lp", res.status, f"joint refinement LP: {res.message}")
+        x, duals = _highs_lp(idx_r, idx_c, c_vec, b_eq, widths, tol)
         # walls carry no balance row, so their dual is zero; every cell-wall
         # arc is always in the mask, and no wall-to-wall arc ever is, so
         # only cell-to-cell arcs are priced
-        u = res.eqlin.marginals[:n]
-        v = res.eqlin.marginals[n:]
+        u = duals[:n]
+        v = duals[n:]
         entering = ~mask[:n, :n] & (cost.tilde[:n, :n] - u[:, None] - v[None, :] < -tol)
         if not np.any(entering):
             break
         mask[:n, :n] |= entering
         pricing += 1
     gamma = np.zeros((n + 2, n + 2))
-    gamma[idx_r, idx_c] = res.x[:n_arcs]
-    fill = res.x[n_arcs:].reshape(n, k)
+    gamma[idx_r, idx_c] = x[:n_arcs]
+    fill = x[n_arcs:].reshape(widths.shape)
     pos = np.sum(np.divide(fill, widths, out=np.zeros_like(widths), where=~flat), axis=1)
     return gamma, pos, pricing, n_arcs
+
+
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def _highs_lp(idx_r: np.ndarray, idx_c: np.ndarray, c_vec: np.ndarray, b_eq: np.ndarray,
+              widths: np.ndarray, tol: float):
+    """One joint LP by HiGHS dual simplex: the optimal columns and balance duals.
+
+    Columns are the arcs (idx_r[a], idx_c[a]), then the (n, k) segment
+    fills of widths, k per interior column, costed by c_vec. The 2n rows
+    balance the nodes of _arc_nodes to b_eq: an arc holds 1 at its row node
+    and then at its column node, the root (the walls) having no row, and a
+    fill holds -1 at its column's node. Arcs are bounded below by 0, fills
+    also above by their widths. HiGHS runs with linprog(method="highs")'s
+    settings, presolve off. An answer HiGHS does not call optimal is used
+    when its primal is feasible and its largest dual infeasibility is at
+    most tol, the pricing tolerance: the step's gap still decides. Any other
+    answer raises StepFailure(joint_lp) with HiGHS's model status.
+    """
+    n, k = widths.shape
+    n_arcs = len(idx_r)
+    n_fill = widths.size
+    n_col = n_arcs + n_fill
+    nodes = np.stack(_arc_nodes(n, idx_r, idx_c), axis=1)
+    on_row = nodes < 2 * n
+    n_nz = np.count_nonzero(on_row) + n_fill
+    start = np.zeros(n_col + 1, dtype=np.int32)
+    np.cumsum(np.r_[on_row.sum(axis=1), np.ones(n_fill, dtype=int)], out=start[1:])
+    index = np.r_[nodes[on_row], n + np.repeat(np.arange(n), k)].astype(np.int32)
+    value = np.ones(n_nz)
+    value[n_nz - n_fill:] = -1.0
+    upper = np.r_[np.full(n_arcs, np.inf), widths.reshape(-1)]
+    highs = _highs._Highs()
+    for key, val in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, val)
+    highs.passModel(n_col, 2 * n, n_nz, _highs.MatrixFormat.kColwise,
+                    _highs.ObjSense.kMinimize, 0.0, c_vec, np.zeros(n_col), upper, b_eq,
+                    b_eq, start, index, value,
+                    np.zeros(n_col, dtype=np.int32))  # every column continuous
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    if status != _highs.HighsModelStatus.kOptimal and not (
+            info.primal_solution_status == _highs.kSolutionStatusFeasible
+            and info.max_dual_infeasibility <= tol):
+        raise StepFailure("joint_lp", int(status),
+                          f"joint refinement LP: {highs.modelStatusToString(status)}")
+    sol = highs.getSolution()
+    return np.array(sol.col_value), np.array(sol.row_dual)
 
 
 def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):

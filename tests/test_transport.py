@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from resflow import diagnostics, transport
 from resflow.flow import run_minimizing_movement
@@ -262,17 +264,16 @@ def test_joint_lp_stays_sparse(monkeypatch):
 
     The dense LP had (n + 2)^2 - 4 = 4352 arc columns plus n * 12 = 768
     segment-fill columns on 64 cells, 5120 in all; the shortlist leaves the
-    fills alone. The counter wraps the module-level linprog, the call site
-    the benchmark traces.
+    fills alone. The counter wraps _highs_lp, the one HiGHS call.
     """
     columns = []
-    real = transport.linprog
+    real = transport._highs_lp
 
-    def counted(c, *args, **kwargs):
-        columns.append(len(c))
-        return real(c, *args, **kwargs)
+    def counted(idx_r, idx_c, c_vec, *args):
+        columns.append(len(c_vec))
+        return real(idx_r, idx_c, c_vec, *args)
 
-    monkeypatch.setattr(transport, "linprog", counted)
+    monkeypatch.setattr(transport, "_highs_lp", counted)
     model, grid, mu = _drifty_step_64()
     sol = solve_jko_step(model, grid, 0.05, mu)
     assert sol.converged
@@ -281,6 +282,79 @@ def test_joint_lp_stays_sparse(monkeypatch):
     assert max(arcs) < 4352 / 3
     assert max(columns) < 2000
     assert sol.stats["lp_arcs"] == max(arcs)
+
+
+def test_highs_lp_matches_linprog(monkeypatch):
+    """The direct HiGHS call answers a step's first LP as linprog does, bit for bit."""
+    calls = []
+    real = transport._highs_lp
+
+    def first(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "_highs_lp", first)
+    model, grid, mu = _drifty_step_64()
+    solve_jko_step(model, grid, 0.05, mu)
+    idx_r, idx_c, c_vec, b_eq, widths, tol = calls[0]
+    x, duals = real(idx_r, idx_c, c_vec, b_eq, widths, tol)
+    # each arc meets the balance rows of its interior ends; each fill, negated,
+    # that of its column
+    n_arcs, (n, k) = len(idx_r), widths.shape
+    rows = np.r_[idx_r, n + idx_c, n + np.repeat(np.arange(n), k)]
+    cols = np.r_[np.arange(n_arcs), np.arange(n_arcs), n_arcs + np.arange(n * k)]
+    vals = np.r_[np.ones(2 * n_arcs), -np.ones(n * k)]
+    keep = np.r_[idx_r < n, idx_c < n, np.ones(n * k, dtype=bool)]
+    a_eq = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(2 * n, n_arcs + n * k))
+    bounds = np.zeros((n_arcs + n * k, 2))
+    bounds[:n_arcs, 1] = np.inf
+    bounds[n_arcs:, 1] = widths.reshape(-1)
+    res = linprog(c_vec, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    assert np.array_equal(x, res.x)
+    assert np.array_equal(duals, res.eqlin.marginals)
+
+
+def test_highs_lp_failure_names_the_model_status():
+    """An LP HiGHS cannot solve raises StepFailure(joint_lp) with its model status."""
+    no_fills = np.zeros((2, 0))
+    # two cells that keep their mass cannot double it: infeasible
+    with pytest.raises(StepFailure) as infeasible:
+        transport._highs_lp(np.array([0, 1]), np.array([0, 1]), np.zeros(2),
+                            np.array([1.0, 1.0, 2.0, 2.0]), no_fills, 1e-9)
+    assert infeasible.value.certificate == "joint_lp"
+    assert infeasible.value.value == 8
+    # a wall-to-wall arc meets no balance row: at a negative price it is unbounded
+    with pytest.raises(StepFailure) as unbounded:
+        transport._highs_lp(np.array([0, 1, 2]), np.array([0, 1, 3]),
+                            np.array([0.0, 0.0, -1.0]), np.ones(4), no_fills, 1e-9)
+    assert unbounded.value.value == 10
+
+
+def test_warm_step_takes_a_feasible_answer_highs_leaves_unfinished():
+    """HiGHS may stop short of its 1e-10 dual tolerance; within pricing's, the plan is used.
+
+    In the third LP of this warm step HiGHS stops after 140 iterations with
+    model status Unknown: its primal is feasible and its largest dual
+    infeasibility is 1.4e-8, under the pricing tolerance 4.3e-8. The step
+    must take that answer and certify on its gap, not fail the LP.
+    """
+    model = build_model(0.0, 1.0, make_reaction("signed-power", w=0.9664793528569832,
+                                                alpha=0.49130662979410983,
+                                                q=0.7178562002415245),
+                        drift=(0.0, -0.9773362429638133),
+                        boundary_density=(1.0516653162850738, 0.9834955897150579))
+    grid = build_grid(0.0, 1.0, 37)
+    tau = 0.011849599757014825
+    mu = (1.0 + 0.4329102524029671 * np.sin(2 * np.pi * grid.cell_centers)) * grid.cell_width
+    cold = solve_jko_step(model, grid, tau, mu)
+    warm = solve_jko_step(model, grid, tau, cold.rho * grid.cell_width,
+                          SolverOptions(init_phi_star=cold.phi_star))
+    assert cold.converged and warm.converged
+    assert warm.residuals["polish_gap"] <= 1e-8
 
 
 @pytest.mark.parametrize("law, n, tau, slope", [
@@ -339,13 +413,16 @@ def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
 
 
 def test_transport_builds_no_dense_matrix():
-    """Arc masses come from leaf peeling: no NNLS fit and no densified incidence."""
+    """Arc masses come from leaf peeling: no NNLS fit and no densified incidence.
+
+    The LP goes to HiGHS directly, with no linprog wrapper in between.
+    """
     tree = ast.parse(Path(transport.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(a.name for a in node.names)
-    assert "nnls" not in imported, imported
+    assert not imported & {"nnls", "linprog"}, imported
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not attrs & {"nnls", "toarray", "todense"}, attrs
 
@@ -532,13 +609,13 @@ def test_gauge_newton_does_not_circle_a_kink():
 def test_later_rounds_run_on_the_last_support(monkeypatch):
     """After the first round, each LP carries the last plan's widened support, not the band."""
     arcs = []
-    real = transport.linprog
+    real = transport._highs_lp
 
-    def counted(c, *args, **kwargs):
-        arcs.append(len(c) - 64 * 12)
-        return real(c, *args, **kwargs)
+    def counted(idx_r, idx_c, c_vec, *args):
+        arcs.append(len(c_vec) - 64 * 12)
+        return real(idx_r, idx_c, c_vec, *args)
 
-    monkeypatch.setattr(transport, "linprog", counted)
+    monkeypatch.setattr(transport, "_highs_lp", counted)
     model, grid, mu = _drifty_step_64()
     sol = solve_jko_step(model, grid, 0.05, mu)
     assert sol.converged
