@@ -53,7 +53,6 @@ from .oracle import OracleResult, brute_force_small, certified_price_window
 from .reactions import REACTION_KINDS, ReactionLaw, make_reaction
 from .transport import (
     CostMatrix,
-    SolverOptions,
     StepFailure,
     TransportSolution,
     build_cost_matrix,
@@ -80,7 +79,6 @@ __all__ = [
     "REACTION_KINDS",
     "ReactionLaw",
     "RefinementStudy",
-    "SolverOptions",
     "StepFailure",
     "Trajectory",
     "TrajectoryTable",

@@ -238,19 +238,15 @@ def weak_residual(
     zeta: np.ndarray,
     t0: float,
     t1: float,
-    *,
-    zeta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-    zeta_second: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Weak-form defect of a piecewise-constant-in-time density path.
 
     The test function is given by its cell-center samples and must vanish in
-    the first and last cell. Flux terms are moved onto the test function: by
-    default through summation-by-parts stencils of the samples (exact for the
+    the first and last cell. Flux terms are moved onto the test function
+    through summation-by-parts stencils of the samples (exact for the
     conservative discretization and correct in the distributional sense for
-    hat functions); passing analytic zeta_prime/zeta_second switches to
-    midpoint quadrature of the smooth integrand instead. Time integrals use
-    right endpoints, matching the implicit stepping.
+    hat functions). Time integrals use right endpoints, matching the
+    implicit stepping.
     """
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (grid.n_cells,):
@@ -261,28 +257,15 @@ def weak_residual(
     dx = grid.cell_width
     k0, k1 = _window_indices(np.asarray(times, dtype=float), float(t0), float(t1))
 
-    if (zeta_prime is None) != (zeta_second is None):
-        raise ValueError("analytic mode needs both zeta_prime and zeta_second")
-    analytic = zeta_prime is not None
+    padded = np.concatenate([[0.0], zeta, [0.0]])
+    dlap = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / (dx * dx)
+    x_faces = grid.x_lo + np.arange(1, grid.n_cells) * dx
+    v_faces = np.asarray(model.drift_gradient(x_faces), dtype=float)
+    dzeta = np.diff(zeta) / dx
 
-    if analytic:
-        weight = zeta_second(x) - model.drift_gradient(x) * zeta_prime(x)
-
-        def flux_term(rho: np.ndarray) -> float:
-            return float(np.sum(rho * weight) * dx)
-
-    else:
-        padded = np.concatenate([[0.0], zeta, [0.0]])
-        dlap = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / (dx * dx)
-        x_faces = grid.x_lo + np.arange(1, grid.n_cells) * dx
-        v_faces = np.asarray(model.drift_gradient(x_faces), dtype=float)
-        dzeta = np.diff(zeta) / dx
-
-        def flux_term(rho: np.ndarray) -> float:
-            face_avg = 0.5 * (rho[:-1] + rho[1:])
-            return float(
-                np.sum(rho * dlap) * dx - np.sum(face_avg * v_faces * dzeta) * dx
-            )
+    def flux_term(rho: np.ndarray) -> float:
+        face_avg = 0.5 * (rho[:-1] + rho[1:])
+        return float(np.sum(rho * dlap) * dx - np.sum(face_avg * v_faces * dzeta) * dx)
 
     total = float(np.sum(zeta * values[k1]) * dx) - float(np.sum(zeta * values[k0]) * dx)
     for k in range(k0, k1):

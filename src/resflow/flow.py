@@ -21,7 +21,6 @@ from .fdref import FDSolution, compare_trajectories, solve_fd
 from .grid import Grid, build_grid
 from .model import Model
 from .transport import (
-    SolverOptions,
     StepFailure,
     TransportSolution,
     solve_fixed_target,
@@ -221,8 +220,7 @@ def run_minimizing_movement(
     warm: np.ndarray | None = None
     for k in range(n_steps):
         sol = _certified_step(f"transport step {k + 1}/{n_steps}", solve_jko_step,
-                              model, grid, tau, rho * dx,
-                              options=SolverOptions(init_phi_star=warm))
+                              model, grid, tau, rho * dx, init_phi_star=warm)
         rho_next = sol.rho
         energies[k + 1] = model.free_energy.total(rho_next, x, dx)
         step_costs[k + 1] = sol.primal_value

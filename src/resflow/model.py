@@ -97,12 +97,6 @@ class FreeEnergy:
         """Midpoint-rule total energy of cell densities rho at centers x."""
         return float(np.sum(self.density(rho, x)) * cell_width)
 
-    def slope(self, z, x) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if np.any(z <= 0.0):
-            raise ValueError("free-energy slope is undefined at zero density")
-        return np.log(z) + self.drift(np.asarray(x, dtype=float))
-
     def slope_inv(self, p, x) -> np.ndarray:
         return np.exp(np.asarray(p, dtype=float) - self.drift(np.asarray(x, dtype=float)))
 

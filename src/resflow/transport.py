@@ -21,7 +21,8 @@ on a seed price (the zero-rate price on a cold step, the previous step's
 prices on a warm one). The LP carries only a shortlist of arcs: a band of
 about one step's displacement around the diagonal plus every cell-wall arc
 in the first round, and the last plan's support widened by one cell plus
-the cell-wall arcs in every later one.
+the cell-wall arcs in every later one. Inside the step a plan is a list of
+arcs and their masses; it is dense only in TransportSolution.gamma.
 After each solve the LP duals price every excluded arc, and arcs with
 negative reduced cost join the shortlist until none is left, so each LP
 optimum is the optimum over all admissible arcs (Gottschlich & Schuhmacher,
@@ -63,7 +64,6 @@ from .model import Model
 
 __all__ = [
     "CostMatrix",
-    "SolverOptions",
     "TransportSolution",
     "PotentialReport",
     "build_cost_matrix",
@@ -102,20 +102,6 @@ def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
     quad = (nodes[:, None] - nodes[None, :]) ** 2 / (2.0 * tau)
     psi = np.concatenate([np.zeros(n), [model.psi_lo, model.psi_hi]])
     return CostMatrix(tilde=quad + (psi[None, :] - psi[:, None]), n_cells=n)
-
-
-def _admissible(n: int) -> np.ndarray:
-    """The arcs a plan may use: every pair but wall to wall."""
-    allowed = np.ones((n + 2, n + 2), dtype=bool)
-    allowed[n:, n:] = False
-    return allowed
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Warm start of a step: interior prices of a nearby solved step."""
-
-    init_phi_star: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -303,8 +289,8 @@ class _Forest(NamedTuple):
     walled: np.ndarray   # component holds a wall arc
 
 
-def _support_forest(n: int, support: np.ndarray) -> _Forest | None:
-    """The support as one tree rooted at the walls, or None if it holds a cycle.
+def _support_forest(n: int, idx_r: np.ndarray, idx_c: np.ndarray) -> _Forest | None:
+    """The support arcs as one tree rooted at the walls, or None if they hold a cycle.
 
     The nodes are those of _arc_nodes. Each interior component with no
     wall arc hangs from the root at its lowest-index node by a gauge edge,
@@ -315,7 +301,6 @@ def _support_forest(n: int, support: np.ndarray) -> _Forest | None:
     Cuturi, Computational Optimal Transport, 2019, sec. 3.5).
     """
     root = 2 * n
-    idx_r, idx_c = np.nonzero(support)
     a, b = _arc_nodes(n, idx_r, idx_c)
     inner = (a < root) & (b < root)
     graph = sparse.csr_matrix((np.ones(np.count_nonzero(inner)), (a[inner], b[inner])),
@@ -384,23 +369,26 @@ def _arc_masses(kern: _Kernel, forest: _Forest, col_mass: np.ndarray):
     on a row, col_mass on a column), which is then charged to its parent,
     in O(|S|) as in network simplex. What reaches the root is taken or
     given by the walls; what reaches a gauge edge is lost, and shows in the
-    marginal defect. Masses may come out negative. Returns the plan and the
-    norm of the marginal defect.
+    marginal defect, summed back from the masses. Masses may come out
+    negative. Returns the forest's arcs, their masses, the component of the
+    node each hangs, and the norm of the marginal defect.
     """
     n = len(kern.mu)
     need = np.concatenate([kern.mu, col_mass, [0.0]]).tolist()
     for v, p in zip(forest.node[::-1].tolist(), forest.parent[::-1].tolist()):
         need[p] -= need[v]
-    on_arc = forest.arc_r >= 0
-    gamma = np.zeros((n + 2, n + 2))
-    gamma[forest.arc_r[on_arc], forest.arc_c[on_arc]] = np.array(need)[forest.node[on_arc]]
-    defect = np.concatenate([gamma[:n].sum(axis=1) - kern.mu,
-                             gamma[:, :n].sum(axis=0) - col_mass])
-    return gamma, float(np.linalg.norm(defect))
+    # row-major; gauge edges, whose arc is (-1, -1), sort first and are dropped
+    order = np.lexsort((forest.arc_c, forest.arc_r))[np.count_nonzero(forest.arc_r < 0):]
+    r, c, child = forest.arc_r[order], forest.arc_c[order], forest.node[order]
+    mass = np.array(need)[child]
+    rows, cols = r < n, c < n
+    defect = np.concatenate([np.bincount(r[rows], mass[rows], minlength=n) - kern.mu,
+                             np.bincount(c[cols], mass[cols], minlength=n) - col_mass])
+    return r, c, mass, forest.label[child], float(np.linalg.norm(defect))
 
 
-def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray, stats: dict):
-    """Machine-precision solve on an active arc set, pruning as needed.
+def _reduced_solve(kern: _Kernel, cost: CostMatrix, idx_r, idx_c, stats: dict):
+    """Machine-precision solve on the support arcs (idx_r, idx_c), pruning as needed.
 
     Each pass roots the support at the walls (_support_forest), reads the
     potentials down the tree and the column masses they price, and then
@@ -412,35 +400,32 @@ def _reduced_solve(kern: _Kernel, cost: CostMatrix, support: np.ndarray, stats: 
     shrinks, so the loop terminates. A support with a cycle, whose masses
     the marginals do not fix, returns an infinite residual and no plan
     before any potential is computed; cutting arcs makes no cycle, so only
-    the first pass can meet one.
+    the first pass can meet one. The plan it returns is (rows, columns, masses).
     """
     n = cost.n_cells
-    support = support.copy()
     mass_scale = max(kern.total_mass, 1e-300)
     for _ in range(2 * n + 4):
-        forest = _support_forest(n, support)
+        forest = _support_forest(n, idx_r, idx_c)
         if forest is None:
             return None, None, None, math.inf
         phi, ps = _forest_potentials(kern, cost, forest)
         col_mass = np.maximum(kern.col_target(ps), 0.0)
-        gamma, resid = _arc_masses(kern, forest, col_mass)
-        r, c = np.nonzero(gamma < 0.0)
-        if len(r):
+        r, c, mass, comp, resid = _arc_masses(kern, forest, col_mass)
+        neg = np.flatnonzero(mass < 0.0)
+        if len(neg):
             # components share no arc, potential or gauge: cutting the most
             # negative arc of each at once is cutting them one at a time
-            order = np.argsort(gamma[r, c])
-            comp = forest.label[np.where(r < n, r, n + c)]
-            first = np.unique(comp[order], return_index=True)[1]
-            support[r[order][first], c[order][first]] = False
+            order = neg[np.argsort(mass[neg])]
+            cut = order[np.unique(comp[order], return_index=True)[1]]
         elif resid <= 1e-11 * mass_scale:
             break
         else:
-            dead = support & (gamma <= _MASS_FLOOR_FACTOR * mass_scale)
-            if not np.any(dead):
+            cut = np.flatnonzero(mass <= _MASS_FLOOR_FACTOR * mass_scale)
+            if not len(cut):
                 break
-            support &= ~dead
+        idx_r, idx_c = np.delete(r, cut), np.delete(c, cut)
         stats["prune_passes"] += 1
-    return phi, ps, gamma, resid
+    return phi, ps, (r, c, mass), resid
 
 
 def _xi_table(kern: _Kernel, prices: np.ndarray):
@@ -495,9 +480,9 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
     optimum over all admissible arcs. A segment whose breakpoint masses tie
     has width 0, so its fill is bounded by 0, costs nothing and adds
     nothing to the position. Presolve is off: the 2n balance rows leave it
-    nothing to remove. Returns the plan part, each column's optimum as a
-    position in segments counted from its first breakpoint, the number of
-    pricing re-solves and the arc count of the last (largest) solve.
+    nothing to remove. Returns the last (largest) solve's plan as arcs (rows,
+    columns, masses) in row-major order, each column's optimum as a position
+    in segments from its first breakpoint, and the count of pricing re-solves.
     """
     n = cost.n_cells
     # a segment of masses tied by rounding holds no fill and costs nothing
@@ -522,11 +507,9 @@ def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarra
             break
         mask[:n, :n] |= entering
         pricing += 1
-    gamma = np.zeros((n + 2, n + 2))
-    gamma[idx_r, idx_c] = x[:n_arcs]
     fill = x[n_arcs:].reshape(widths.shape)
     pos = np.sum(np.divide(fill, widths, out=np.zeros_like(widths), where=~flat), axis=1)
-    return gamma, pos, pricing, n_arcs
+    return (idx_r, idx_c, x[:n_arcs]), pos, pricing
 
 
 _HIGHS_OPTIONS = {
@@ -611,7 +594,8 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     """
     n = cost.n_cells
     # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
-    mask = _admissible(n)
+    mask = np.ones((n + 2, n + 2), dtype=bool)
+    mask[n:, n:] = False    # no plan holds a wall-to-wall arc
     cells = np.arange(n)
     mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
     stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0,
@@ -627,10 +611,10 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         # prices fall along a row, so the breakpoint masses rise
         prices = hi[:, None] - (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
         breaks, xi = _xi_table(kern, prices)
-        gamma_joint, pos, pricing, n_arcs = _joint_lp(kern, cost, breaks, xi, mask)
+        arcs, pos, pricing = _joint_lp(kern, cost, breaks, xi, mask)
         stats["lp_rounds"] += 1 + pricing
         stats["pricing_rounds"] += pricing
-        stats["lp_arcs"] = max(stats["lp_arcs"], n_arcs)
+        stats["lp_arcs"] = max(stats["lp_arcs"], len(arcs[0]))
         seg = (hi - lo) / k
         grow = (pos <= 0.5) | (pos >= k - 0.5)
         if not np.any(grow):
@@ -638,12 +622,12 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
             if cand is not None or failure is not None:
                 stats["rejected_candidates"] += 1
             try:
-                cand, failure = _assemble_candidate(kern, cost, gamma_joint, stats), None
+                cand, failure = _assemble_candidate(kern, cost, arcs, stats), None
             except StepFailure as exc:
                 if exc.certificate not in ("reduced_residual", "price_root"):
                     raise
                 cand, failure = None, exc
-            if cand is not None and cand[-1] <= 1e-10 * (1.0 + abs(cand[-2])):
+            if cand is not None and cand.gap <= 1e-10 * (1.0 + abs(cand.objective)):
                 break
             if np.all(hi - lo <= target_width):
                 break
@@ -654,12 +638,11 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         # the next shortlist: this plan's interior support widened by one
         # cell in row and column (a 3 x 3 box), plus the wall arcs, which
         # never leave it
-        plan = gamma_joint[:n, :n] > floor
-        plan[1:] |= plan[:-1].copy()
-        plan[:-1] |= plan[1:].copy()
-        mask[:n, :n] = plan
-        mask[:n, 1:n] |= plan[:, :-1]
-        mask[:n, :n - 1] |= plan[:, 1:]
+        r, c, mass = arcs
+        big = (r < n) & (c < n) & (mass > floor)
+        mask[:n, :n] = False
+        for dr, dc in np.ndindex(3, 3):
+            mask[np.clip(r[big] + dr - 1, 0, n - 1), np.clip(c[big] + dc - 1, 0, n - 1)] = True
     if failure is not None:
         raise failure
     if cand is None:
@@ -680,11 +663,23 @@ def _dual_value(kern: _Kernel, phi: np.ndarray, ps: np.ndarray) -> float:
     return val
 
 
-def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray,
-                        stats: dict):
+class _Candidate(NamedTuple):
+    """An exact solution candidate; see _assemble_candidate."""
+
+    arcs: tuple    # the plan as (rows, columns, masses), row-major
+    h: np.ndarray
+    rho: np.ndarray
+    phi: np.ndarray
+    phi_star: np.ndarray
+    primal_value: float
+    objective: float
+    gap: float
+
+
+def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dict):
     """Exact solution candidate on the LP plan's support, with its duality gap.
 
-    The arcs of the LP plan above the mass floor form the support. A basic
+    The LP arcs above the mass floor form the support. A basic
     optimal plan of a transportation LP is a spanning forest, so this
     support is a forest whenever the walls count as one node. The reduced
     system snaps it to machine precision and defines the plan, prices,
@@ -702,18 +697,18 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     tau = kern.tau
     n = cost.n_cells
     tilde = cost.tilde
-    allowed = _admissible(n)
     mass_scale = max(kern.total_mass, 1e-300)
 
-    support = (gamma_joint > _MASS_FLOOR_FACTOR * mass_scale) & allowed
-    phi_out, ps_out, gamma, resid = _reduced_solve(kern, cost, support, stats)
+    r, c, mass = arcs
+    keep = mass > _MASS_FLOOR_FACTOR * mass_scale
+    phi_out, ps_out, plan, resid = _reduced_solve(kern, cost, r[keep], c[keep], stats)
     if resid > 1e-10 * mass_scale:
         raise StepFailure("reduced_residual", resid,
                           "reduced solve on the plan support misses the marginals")
+    r, c, mass = plan
     h = model.rate_at_price(-ps_out, x)
     rho = kern.rho_at(ps_out)
-    primal = float(np.sum(gamma[allowed] * tilde[allowed])) \
-        + tau * dx * float(np.sum(model.cost(h, x)))
+    primal = float(mass @ tilde[r, c]) + tau * dx * float(np.sum(model.cost(h, x)))
     value = primal
     if kern.jko:
         value += dx * float(np.sum(model.free_energy.density(rho, x)))
@@ -725,7 +720,7 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, gamma_joint: np.ndarray
     phi_out = np.min(tilde[:n] - np.r_[ps_out, 0.0, 0.0][None, :], axis=1)
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
-    return gamma, h, rho, phi_out, ps_out, primal, value, abs(gap)
+    return _Candidate(plan, h, rho, phi_out, ps_out, primal, value, abs(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -742,42 +737,42 @@ def _as_mass(mu, grid: Grid) -> np.ndarray:
     return mu
 
 
-def _solve(kern: _Kernel, options: SolverOptions | None) -> TransportSolution:
+def _solve(kern: _Kernel, init_phi_star) -> TransportSolution:
     """Polish from the seed price, then certify and package the optimum."""
     model = kern.model
-    x = kern.x
-    tau = kern.tau
     n = kern.grid.n_cells
-    cost = build_cost_matrix(model, kern.grid, tau)
+    cost = build_cost_matrix(model, kern.grid, kern.tau)
 
-    if options is None or options.init_phi_star is None:
+    if init_phi_star is None:
         # the price of the zero rate is always an admissible seed
-        phi_star = -model.cost_slope(np.zeros(n), x)
+        phi_star = -model.cost_slope(np.zeros(n), kern.x)
     else:
-        phi_star = np.asarray(options.init_phi_star, dtype=float)
+        phi_star = np.asarray(init_phi_star, dtype=float)
         if phi_star.shape != (n,):
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
-    (gamma, h, rho, phi, ps, primal_value, objective, gap), rounds, stats = \
-        _polish(kern, cost, phi_star)
+    cand, rounds, stats = _polish(kern, cost, phi_star)
+    r, c, mass = cand.arcs
+    gamma = np.zeros((n + 2, n + 2))
+    gamma[r, c] = mass
 
-    report = extract_potentials(cost, model, kern.grid, gamma, h, phi, ps)
+    report = extract_potentials(cost, model, kern.grid, gamma, cand.h, cand.phi, cand.phi_star)
     residuals = {
-        "polish_gap": gap,
+        "polish_gap": cand.gap,
         "kkt_kappa": report.optimality_residual,
         "concavity_gap": report.concavity_gap,
         "support_slack": report.support_slack,
     }
     return TransportSolution(
         gamma=gamma,
-        h=h,
-        rho=np.asarray(rho, dtype=float),
-        phi=phi,
-        phi_star=ps,
-        primal_value=primal_value,
-        objective=objective,
+        h=cand.h,
+        rho=np.asarray(cand.rho, dtype=float),
+        phi=cand.phi,
+        phi_star=cand.phi_star,
+        primal_value=cand.primal_value,
+        objective=cand.objective,
         # the verified relative primal-dual gap is the convergence certificate
-        converged=gap <= 1e-8,
+        converged=cand.gap <= 1e-8,
         iterations=rounds,
         residuals=residuals,
         stats=stats,
@@ -790,7 +785,8 @@ def solve_fixed_target(
     tau: float,
     mu,
     rho,
-    options: SolverOptions | None = None,
+    *,
+    init_phi_star=None,
 ) -> TransportSolution:
     """Step cost between a source and a prescribed target density.
 
@@ -799,12 +795,13 @@ def solve_fixed_target(
     h_i = (column mass_i / dx - rho_i) / tau. When the polish gap of the
     last candidate stays above its bound, that candidate is returned with
     converged=False; a step that yields no candidate raises StepFailure.
+    init_phi_star, interior prices of a nearby solved step, warm starts it.
     """
     mu_arr = _as_mass(mu, grid)
     rho_arr = np.asarray(rho, dtype=float)
     if rho_arr.shape != (grid.n_cells,) or np.any(rho_arr < 0.0):
         raise ValueError("rho must be a nonnegative density vector on the cells")
-    return _solve(_Kernel(model, grid, tau, mu_arr, rho_arr), options)
+    return _solve(_Kernel(model, grid, tau, mu_arr, rho_arr), init_phi_star)
 
 
 def solve_jko_step(
@@ -812,17 +809,19 @@ def solve_jko_step(
     grid: Grid,
     tau: float,
     mu,
-    options: SolverOptions | None = None,
+    *,
+    init_phi_star=None,
 ) -> TransportSolution:
     """One implicit free-energy step of the minimizing-movement scheme.
 
     The target density is eliminated through its marginal price: rho =
     exp(-phi* - drift) and h = rate at price -phi*, so the optimality
     identity cost_slope(h) = log rho + drift holds exactly by construction.
-    objective reports free energy plus step cost.
+    objective reports free energy plus step cost. init_phi_star warm starts
+    the step as in solve_fixed_target.
     """
     mu_arr = _as_mass(mu, grid)
-    return _solve(_Kernel(model, grid, tau, mu_arr, None), options)
+    return _solve(_Kernel(model, grid, tau, mu_arr, None), init_phi_star)
 
 
 def extract_potentials(
@@ -849,13 +848,13 @@ def extract_potentials(
     prices = model.cost_slope(h, x)
     optimality_residual = float(np.max(np.abs(phi_star + prices))) if n else 0.0
 
-    allowed = _admissible(n)
     total = np.r_[phi, 0.0, 0.0][:, None] + np.r_[phi_star, 0.0, 0.0][None, :] - cost.tilde
-    total[~allowed] = -np.inf
+    total[n:, n:] = -np.inf    # no plan holds a wall-to-wall arc
     concavity_gap = float(np.max(np.maximum(total, 0.0)))
 
     floor = _MASS_FLOOR_FACTOR * max(float(np.sum(gamma)), 1e-300)
-    support = (gamma > floor) & allowed
+    support = gamma > floor
+    support[n:, n:] = False
     support_slack = float(np.max(-total[support])) if np.any(support) else 0.0
     return PotentialReport(
         optimality_residual=optimality_residual,

@@ -67,32 +67,12 @@ def test_weak_residual_vanishes_on_the_scheme(drifty_model, grid16):
     assert res <= 1e-9
 
 
-def test_weak_residual_analytic_mode_is_consistent(unit_model):
-    grid = build_grid(0.0, 1.0, 64)
-    x = grid.cell_centers
-    rho0 = 1.0 + 0.1 * np.sin(np.pi * x)
-    sol = solve_fd(unit_model, grid, rho0, t_final=0.2, dt=0.01)
-    zeta = np.sin(np.pi * x) ** 2
-    zeta[0] = zeta[-1] = 0.0
-    res = weak_residual(
-        grid, unit_model, sol.times, sol.values, zeta, 0.0, 0.2,
-        zeta_prime=lambda y: np.pi * np.sin(2 * np.pi * y),
-        zeta_second=lambda y: 2 * np.pi**2 * np.cos(2 * np.pi * y),
-    )
-    # analytic quadrature differs from the scheme only by discretization error
-    assert res <= 5e-3
-
-
 def test_weak_residual_rejects_bad_test_functions(unit_model, grid8):
     times = np.array([0.0, 0.1])
     values = np.ones((2, 8))
     bad = np.ones(8)
     with pytest.raises(ValueError):
         weak_residual(grid8, unit_model, times, values, bad, 0.0, 0.1)
-    zeta = np.zeros(8)
-    with pytest.raises(ValueError):
-        weak_residual(grid8, unit_model, times, values, zeta, 0.0, 0.1,
-                      zeta_prime=lambda y: y)
 
 
 def test_compare_identical_paths_is_zero(grid16):

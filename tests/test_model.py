@@ -122,7 +122,8 @@ def test_free_energy_minimized_at_equilibrium(unit_model):
     assert fe.density(1.0, x) == pytest.approx(0.0, abs=1e-14)
     for r in (0.3, 0.8, 1.5, 4.0):
         assert fe.density(r, x) > 0.0
-    assert fe.slope(1.0, x) == pytest.approx(0.0, abs=1e-14)
+    # the density of zero free-energy slope is 1
+    assert fe.slope_inv(0.0, x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_free_energy_conjugate_pair(drifty_model):
@@ -130,7 +131,8 @@ def test_free_energy_conjugate_pair(drifty_model):
     fe = drifty_model.free_energy
     for p in (-1.0, 0.0, 0.8):
         r = fe.slope_inv(p, x)
-        assert fe.slope(r, x) == pytest.approx(p, abs=1e-12)
+        # the slope is log density + drift
+        assert np.log(r) + fe.drift(x) == pytest.approx(p, abs=1e-12)
         # Fenchel equality at the matched point
         assert fe.conjugate(p, x) == pytest.approx(p * r - fe.density(r, x), abs=1e-11)
 

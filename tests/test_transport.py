@@ -12,7 +12,6 @@ from resflow import diagnostics, transport
 from resflow.flow import run_minimizing_movement
 
 from resflow import (
-    SolverOptions,
     StepFailure,
     build_cost_matrix,
     build_grid,
@@ -158,13 +157,12 @@ def test_warm_start_reproduces_cold_solution(unit_model, grid16):
     rho0 = 1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)
     mu = rho0 * grid16.cell_width
     cold = solve_jko_step(unit_model, grid16, 0.05, mu)
-    warm_opts = SolverOptions(init_phi_star=cold.phi_star)
-    warm = solve_jko_step(unit_model, grid16, 0.05, mu, warm_opts)
+    warm = solve_jko_step(unit_model, grid16, 0.05, mu, init_phi_star=cold.phi_star)
     assert warm.converged
     assert np.max(np.abs(warm.rho - cold.rho)) < 1e-9
     assert warm.objective == pytest.approx(cold.objective, abs=1e-11)
     with pytest.raises(ValueError, match="init_phi_star"):
-        solve_jko_step(unit_model, grid16, 0.05, mu, SolverOptions(init_phi_star=np.zeros(3)))
+        solve_jko_step(unit_model, grid16, 0.05, mu, init_phi_star=np.zeros(3))
 
 
 def test_objective_matches_fixed_target_at_optimum(drifty_model, grid8):
@@ -352,7 +350,7 @@ def test_warm_step_takes_a_feasible_answer_highs_leaves_unfinished():
     mu = (1.0 + 0.4329102524029671 * np.sin(2 * np.pi * grid.cell_centers)) * grid.cell_width
     cold = solve_jko_step(model, grid, tau, mu)
     warm = solve_jko_step(model, grid, tau, cold.rho * grid.cell_width,
-                          SolverOptions(init_phi_star=cold.phi_star))
+                          init_phi_star=cold.phi_star)
     assert cold.converged and warm.converged
     assert warm.residuals["polish_gap"] <= 1e-8
 
@@ -405,7 +403,7 @@ def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
     mu = (1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)) * grid16.cell_width
     cold = solve_jko_step(unit_model, grid16, 0.05, mu)
     warm = solve_jko_step(unit_model, grid16, 0.05, mu,
-                          SolverOptions(init_phi_star=cold.phi_star))
+                          init_phi_star=cold.phi_star)
     for sol in (self_step, warm):
         assert sol.converged
         assert sol.iterations == 1
@@ -461,7 +459,14 @@ def test_peeled_masses_meet_both_marginals(unit_model, seed):
     col_mass = rng.uniform(0.5, 1.5, n) * grid.cell_width
     kern = transport._Kernel(unit_model, grid, 0.1, mu, None)
     support = _random_forest(rng, n, n_comp=5)
-    gamma, resid = transport._arc_masses(kern, transport._support_forest(n, support), col_mass)
+    idx_r, idx_c = np.nonzero(support)
+    forest = transport._support_forest(n, idx_r, idx_c)
+    r, c, mass, comp, resid = transport._arc_masses(kern, forest, col_mass)
+    # every support arc, in row-major order, hung in the component of its interior end
+    assert np.array_equal(r, idx_r) and np.array_equal(c, idx_c)
+    assert np.array_equal(comp, forest.label[np.where(r < n, r, n + c)])
+    gamma = np.zeros((n + 2, n + 2))
+    gamma[r, c] = mass
     scale = 1e-12 * (mu.sum() + col_mass.sum())
     assert np.all(gamma[~support] == 0.0)
     assert np.max(np.abs(gamma[:n].sum(axis=1) - mu)) <= scale
@@ -478,10 +483,11 @@ def test_support_cycle_is_a_rejected_candidate(unit_model, grid8):
     plan = np.zeros((n + 2, n + 2))
     plan[np.arange(n), np.arange(n)] = grid8.cell_width
     plan[0, 1] = plan[1, 0] = 0.1 * grid8.cell_width
-    assert transport._support_forest(n, plan > 0.0) is None
+    r, c = np.nonzero(plan)
+    assert transport._support_forest(n, r, c) is None
     stats = {"prune_passes": 0}
     with pytest.raises(StepFailure, match="reduced_residual") as err:
-        transport._assemble_candidate(kern, cost, plan, stats)
+        transport._assemble_candidate(kern, cost, (r, c, plan[r, c]), stats)
     assert err.value.certificate == "reduced_residual"
     assert stats["prune_passes"] == 0
 
@@ -501,10 +507,11 @@ def test_wall_cycle_is_a_rejected_candidate(unit_model, grid8, wall_arcs):
     plan[np.arange(n), np.arange(n)] = grid8.cell_width
     for r, c in wall_arcs:
         plan[wall.get(r, r), wall.get(c, c)] = 0.1 * grid8.cell_width
-    assert transport._support_forest(n, plan > 0.0) is None
+    r, c = np.nonzero(plan)
+    assert transport._support_forest(n, r, c) is None
     stats = {"prune_passes": 0}
     with pytest.raises(StepFailure, match="reduced_residual") as err:
-        transport._assemble_candidate(kern, cost, plan, stats)
+        transport._assemble_candidate(kern, cost, (r, c, plan[r, c]), stats)
     assert err.value.certificate == "reduced_residual"
     assert err.value.value == np.inf
     assert stats["prune_passes"] == 0
@@ -531,19 +538,25 @@ def test_prune_cuts_the_most_negative_arc(drifty_model, monkeypatch):
     supports, masses = [], []
     real_forest, real_masses = transport._support_forest, transport._arc_masses
 
-    def forest_recorded(n, support):
-        supports.append(support.copy())
-        return real_forest(n, support)
+    def dense(r, c, values):
+        out = np.zeros((n + 2, n + 2), dtype=np.asarray(values).dtype)
+        out[r, c] = values
+        return out
+
+    def forest_recorded(n, idx_r, idx_c):
+        supports.append(dense(idx_r, idx_c, True))
+        return real_forest(n, idx_r, idx_c)
 
     def masses_recorded(kern, forest, col_mass):
-        gamma, resid = real_masses(kern, forest, col_mass)
-        masses.append(gamma)
-        return gamma, resid
+        r, c, mass, comp, resid = real_masses(kern, forest, col_mass)
+        masses.append(dense(r, c, mass))
+        return r, c, mass, comp, resid
 
     monkeypatch.setattr(transport, "_support_forest", forest_recorded)
     monkeypatch.setattr(transport, "_arc_masses", masses_recorded)
     stats = {"prune_passes": 0}
-    _, _, gamma, resid = transport._reduced_solve(kern, cost, support, stats)
+    _, _, (r, c, mass), resid = transport._reduced_solve(kern, cost, *np.nonzero(support), stats)
+    gamma = dense(r, c, mass)
     passes = list(zip(supports, masses))
     assert len(supports) == len(masses)
     (first, masses), (second, _) = passes[:2]
@@ -633,12 +646,13 @@ def test_zero_width_segments_hold_no_fill(unit_model, grid8):
     seed = -unit_model.cost_slope(np.zeros(n), grid8.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 11)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    mask = transport._admissible(n)
-    _, pos, _, _ = transport._joint_lp(kern, cost, breaks, xi, mask.copy())
+    mask = np.ones((n + 2, n + 2), dtype=bool)
+    mask[n:, n:] = False
+    _, pos, _ = transport._joint_lp(kern, cost, breaks, xi, mask.copy())
     # two more breakpoints at the first mass, each cheaper than the last
     tied_breaks = np.concatenate([breaks[:, :1], breaks[:, :1], breaks], axis=1)
     tied_xi = np.concatenate([xi[:, :1] + 2.0, xi[:, :1] + 1.0, xi], axis=1)
-    _, tied_pos, _, _ = transport._joint_lp(kern, cost, tied_breaks, tied_xi, mask.copy())
+    _, tied_pos, _ = transport._joint_lp(kern, cost, tied_breaks, tied_xi, mask.copy())
     assert np.all(np.isfinite(tied_pos))
     assert np.allclose(tied_pos, pos, atol=1e-9)
 
@@ -665,9 +679,11 @@ def test_negative_wall_to_wall_price_stays_out_of_the_plan():
     seed = -model.cost_slope(np.zeros(n), grid.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 13)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    mask = transport._admissible(n)
+    mask = np.ones((n + 2, n + 2), dtype=bool)
+    mask[n:, n:] = False
     mask[:n, :n] = np.eye(n, dtype=bool)
-    transport._joint_lp(kern, cost, breaks, xi, mask)
+    (r, c, _), _, _ = transport._joint_lp(kern, cost, breaks, xi, mask)
+    assert not np.any((r >= n) & (c >= n))
     assert not mask[n:, n:].any()
     assert mask[:n, n:].all() and mask[n:, :n].all()
 
@@ -700,3 +716,14 @@ def test_reservoir_price_is_read_once():
     psi = {"psi_lo", "psi_hi"}
     assert _readers(transport, psi) == {"build_cost_matrix"}
     assert _readers(diagnostics, psi) == {"created_mass_window"}
+
+
+def test_plan_is_scanned_once_per_lp():
+    """Inside the step a plan is a list of arcs; only the LP scans a dense array.
+
+    _joint_lp lists the arcs of its shortlist mask; everything after it,
+    the support forest, the prune passes and the packaged step, reads the
+    arcs it returned. No admissible-arc mask is built.
+    """
+    assert _readers(transport, {"nonzero"}) == {"_joint_lp"}
+    assert not hasattr(transport, "_admissible")
