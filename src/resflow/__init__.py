@@ -16,7 +16,6 @@ from .diagnostics import (
     DiagnosticsReport,
     WindowReport,
     created_mass_window,
-    cycle_monotonicity,
     fit_energy_constant,
     perturbation_inequalities,
     run_diagnostics,
@@ -93,7 +92,6 @@ __all__ = [
     "certified_price_window",
     "compare_trajectories",
     "created_mass_window",
-    "cycle_monotonicity",
     "dissipation_ledger",
     "emit_report",
     "fit_energy_constant",

@@ -25,7 +25,6 @@ __all__ = [
     "created_mass_window",
     "perturbation_inequalities",
     "transported_mass_floor",
-    "cycle_monotonicity",
     "fit_energy_constant",
 ]
 
@@ -77,16 +76,16 @@ def run_diagnostics(
     dx = grid.cell_width
     n = grid.n_cells
     nodes = np.concatenate([x, grid.boundary_nodes])
-    gamma = solution.gamma
+    r, c, mass = solution.arcs
     h = solution.h
     floor = solution.mass_floor
 
-    disp = np.abs(nodes[:, None] - nodes[None, :])
-    supported = gamma > floor
+    disp = np.abs(nodes[r] - nodes[c])
+    supported = mass > floor
     max_displacement = float(np.max(disp[supported])) if np.any(supported) else 0.0
 
-    boundary_flux = float(np.sum(gamma[n:, :n]) + np.sum(gamma[:n, n:]))
-    quadratic_cost = float(np.sum(disp ** 2 / (2.0 * tau) * gamma))
+    boundary_flux = float(np.sum(mass[r >= n]) + np.sum(mass[c >= n]))
+    quadratic_cost = float(np.sum(disp ** 2 / (2.0 * tau) * mass))
 
     transported = np.maximum(rho_after + tau * h, 1e-300)
     ratios = rho_after / transported
@@ -139,12 +138,11 @@ def created_mass_window(model: Model, grid: Grid, tau: float, h: np.ndarray) -> 
 
 
 def _supported_arcs(solution: TransportSolution, max_pairs: int) -> np.ndarray:
-    gamma = solution.gamma
-    rows, cols = np.nonzero(gamma > solution.mass_floor)
-    if rows.size == 0:
-        return np.empty((0, 2), dtype=int)
-    order = np.argsort(gamma[rows, cols])[::-1][:max_pairs]
-    return np.stack([rows[order], cols[order]], axis=1)
+    """The heaviest arcs above the mass floor, heaviest first, as (row, column) pairs."""
+    r, c, mass = solution.arcs
+    keep = mass > solution.mass_floor
+    order = np.argsort(mass[keep])[::-1][:max_pairs]
+    return np.stack([r[keep][order], c[keep][order]], axis=1)
 
 
 def perturbation_inequalities(
@@ -211,43 +209,6 @@ def transported_mass_floor(
     lambda0 = float(min(np.min(density), np.min(rho_target)))
     worst = float(np.min(rho_target + tau * solution.h))
     return lambda0, worst, worst >= 0.25 * lambda0 - 1e-12 * max(lambda0, 1.0)
-
-
-def cycle_monotonicity(
-    solution: TransportSolution,
-    model: Model,
-    grid: Grid,
-    tau: float,
-    *,
-    cycles: int = 200,
-    seed: int = 0,
-) -> float:
-    """Worst cyclical-monotonicity violation over random support cycles.
-
-    Draws 2- and 3-cycles of supported arcs (walls included) and compares
-    the supported assignment against its cyclic reroute under the arc price
-    CostMatrix.tilde. A reroute may pass wall to wall: tilde prices that
-    arc too, at the quadratic cost plus the difference of the two reservoir
-    prices, under which reservoir swaps are gauge-free. Returns the most
-    positive saving found, 0 when no reroute wins.
-    """
-    arcs = _supported_arcs(solution, max_pairs=10_000)
-    if arcs.shape[0] < 2:
-        return 0.0
-    tilde = build_cost_matrix(model, grid, tau).tilde
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cycles):
-        k = int(rng.integers(2, 4))
-        if arcs.shape[0] < k:
-            continue
-        pick = rng.choice(arcs.shape[0], size=k, replace=False)
-        rows = arcs[pick, 0]
-        cols = arcs[pick, 1]
-        current = float(np.sum(tilde[rows, cols]))
-        rerouted = float(np.sum(tilde[rows, np.roll(cols, 1)]))
-        worst = max(worst, current - rerouted)
-    return worst
 
 
 def fit_energy_constant(quad_costs, rhs_values) -> float:

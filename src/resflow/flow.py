@@ -88,7 +88,9 @@ class Trajectory:
 
     solutions[k] is the transport step that produced snapshot k (None for
     the initial density), step_costs[k] its transport-plus-creation cost,
-    and energies[k] the free energy of snapshot k.
+    and energies[k] the free energy of snapshot k. Each step retains O(n)
+    numbers: its plan as at most 2n arcs, its creation field, density and
+    prices, its residuals and counters, and its diagnostics if run.
     """
 
     grid: Grid

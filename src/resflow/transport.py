@@ -21,8 +21,9 @@ on a seed price (the zero-rate price on a cold step, the previous step's
 prices on a warm one). The LP carries only a shortlist of arcs: a band of
 about one step's displacement around the diagonal plus every cell-wall arc
 in the first round, and the last plan's support widened by one cell plus
-the cell-wall arcs in every later one. Inside the step a plan is a list of
-arcs and their masses; it is dense only in TransportSolution.gamma.
+the cell-wall arcs in every later one. A plan is a list of arcs and their
+masses, from the LP's answer to the packaged step; TransportSolution.gamma
+builds the dense view only when read.
 After each solve the LP duals price every excluded arc, and arcs with
 negative reduced cost join the shortlist until none is left, so each LP
 optimum is the optimum over all admissible arcs (Gottschlich & Schuhmacher,
@@ -108,7 +109,10 @@ def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
 class TransportSolution:
     """Converged step: plan, creation field, target density and dual prices.
 
-    gamma rows/cols are ordered interior-then-walls as in CostMatrix. phi and
+    arcs is the plan as (rows, columns, masses): the arcs of its support
+    forest, at most 2n, in row-major order, with nodes ordered
+    interior-then-walls as in CostMatrix. gamma is the dense (n+2) x (n+2)
+    view of that plan, built anew on every read and never stored. phi and
     phi_star are the n interior row and column prices against the arc price
     CostMatrix.tilde, with both walls at price 0. h is the rate at price
     -phi_star, so phi_star + cost_slope(h) = 0 with no offset. iterations
@@ -122,7 +126,7 @@ class TransportSolution:
     passes that cut arcs from a candidate's support).
     """
 
-    gamma: np.ndarray
+    arcs: tuple
     h: np.ndarray
     rho: np.ndarray
     phi: np.ndarray
@@ -136,8 +140,16 @@ class TransportSolution:
     diagnostics: Any = field(default=None, compare=False)
 
     @property
+    def gamma(self) -> np.ndarray:
+        n = len(self.h)
+        r, c, mass = self.arcs
+        gamma = np.zeros((n + 2, n + 2))
+        gamma[r, c] = mass
+        return gamma
+
+    @property
     def mass_floor(self) -> float:
-        return _MASS_FLOOR_FACTOR * float(np.sum(self.gamma))
+        return _MASS_FLOOR_FACTOR * float(np.sum(self.arcs[2]))
 
 
 @dataclass(frozen=True)
@@ -752,11 +764,8 @@ def _solve(kern: _Kernel, init_phi_star) -> TransportSolution:
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
     cand, rounds, stats = _polish(kern, cost, phi_star)
-    r, c, mass = cand.arcs
-    gamma = np.zeros((n + 2, n + 2))
-    gamma[r, c] = mass
-
-    report = extract_potentials(cost, model, kern.grid, gamma, cand.h, cand.phi, cand.phi_star)
+    report = extract_potentials(cost, model, kern.grid, cand.arcs, cand.h, cand.phi,
+                                cand.phi_star)
     residuals = {
         "polish_gap": cand.gap,
         "kkt_kappa": report.optimality_residual,
@@ -764,7 +773,7 @@ def _solve(kern: _Kernel, init_phi_star) -> TransportSolution:
         "support_slack": report.support_slack,
     }
     return TransportSolution(
-        gamma=gamma,
+        arcs=cand.arcs,
         h=cand.h,
         rho=np.asarray(cand.rho, dtype=float),
         phi=cand.phi,
@@ -828,7 +837,7 @@ def extract_potentials(
     cost: CostMatrix,
     model: Model,
     grid: Grid,
-    gamma: np.ndarray,
+    arcs: tuple,
     h: np.ndarray,
     phi: np.ndarray,
     phi_star: np.ndarray,
@@ -841,7 +850,8 @@ def extract_potentials(
     the price identity holds with no offset and this measures its rounding.
     The concavity gap is the positive part of phi + phi* - tilde over
     admissible pairs, and the support slack the worst complementary-slackness
-    violation on the plan's support.
+    violation on the plan's arcs (rows, columns, masses) above the mass
+    floor; the plan holds no wall-to-wall arc.
     """
     n = cost.n_cells
     x = grid.cell_centers
@@ -852,10 +862,9 @@ def extract_potentials(
     total[n:, n:] = -np.inf    # no plan holds a wall-to-wall arc
     concavity_gap = float(np.max(np.maximum(total, 0.0)))
 
-    floor = _MASS_FLOOR_FACTOR * max(float(np.sum(gamma)), 1e-300)
-    support = gamma > floor
-    support[n:, n:] = False
-    support_slack = float(np.max(-total[support])) if np.any(support) else 0.0
+    r, c, mass = arcs
+    keep = mass > _MASS_FLOOR_FACTOR * max(float(np.sum(mass)), 1e-300)
+    support_slack = float(np.max(-total[r[keep], c[keep]])) if np.any(keep) else 0.0
     return PotentialReport(
         optimality_residual=optimality_residual,
         concavity_gap=concavity_gap,

@@ -1,5 +1,6 @@
 """Production solver: feasibility, optimality certificates, and conventions."""
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from resflow import diagnostics, transport
+from resflow import cli, diagnostics, flow, transport
 from resflow.flow import run_minimizing_movement
 
 from resflow import (
@@ -727,3 +728,44 @@ def test_plan_is_scanned_once_per_lp():
     """
     assert _readers(transport, {"nonzero"}) == {"_joint_lp"}
     assert not hasattr(transport, "_admissible")
+    # a packaged step is read through its arcs; its dense view is for callers
+    for module in (transport, diagnostics, flow, cli):
+        assert not _readers(module, {"nonzero", "gamma"}) - {"_joint_lp"}, module.__name__
+
+
+def _stored_arrays(value):
+    """Every array a value holds, looking into tuples, dicts and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _stored_arrays(item)
+    elif isinstance(value, dict):
+        yield from _stored_arrays(list(value.values()))
+    elif dataclasses.is_dataclass(value):
+        yield from _stored_arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
+
+
+def test_a_step_stores_its_plan_as_arcs():
+    """No array a step keeps holds more than 2n + 2 numbers: the plan is its arcs.
+
+    The dense (n+2)^2 plan is built only when gamma is read, and matches the arcs.
+    """
+    model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
+                        drift=(0.0, 0.3), boundary_density=(1.0, 0.8))
+    grid = build_grid(0.0, 1.0, 64)
+    n = grid.n_cells
+    rho0 = 1.0 + 0.1 * np.sin(np.pi * grid.cell_centers)
+    step = solve_jko_step(model, grid, 0.05, rho0 * grid.cell_width)
+    traj = run_minimizing_movement(model, grid, rho0, 0.05, 0.15)
+    assert len(traj.solutions) == 4
+    for sol in (step, *traj.solutions[1:]):
+        arrays = list(_stored_arrays(sol))
+        assert arrays and max(a.size for a in arrays) <= 2 * n + 2
+        r, c, mass = sol.arcs
+        assert len(r) <= 2 * n
+        assert np.all(np.lexsort((c, r)) == np.arange(len(r)))
+        gamma = sol.gamma
+        assert gamma.shape == (n + 2, n + 2) and gamma is not sol.gamma
+        assert np.count_nonzero(gamma) <= len(r) and np.array_equal(gamma[r, c], mass)
+    assert traj.solutions[1].diagnostics is not None
