@@ -97,7 +97,8 @@ def _cmd_solve(args) -> int:
     lp = (f"{max(sol.stats['lp_arcs'] for sol in steps)} arcs max, "
           f"{sum(sol.stats['pricing_rounds'] for sol in steps)} pricing rounds, "
           f"{sum(sol.stats['rejected_candidates'] for sol in steps)} rejected candidates, "
-          f"{sum(sol.stats['prune_passes'] for sol in steps)} prune passes")
+          f"{sum(sol.stats['prune_passes'] for sol in steps)} prune passes, "
+          f"{sum(sol.stats['simplex_iterations'] for sol in steps)} simplex iterations")
     sections = {
         "model": {"hash": io.model_hash(model), "signature": io.model_signature(model)},
         "run": {"steps": traj.n_steps, "tau": traj.tau, "t_final": traj.t_final,

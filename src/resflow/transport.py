@@ -18,16 +18,19 @@ solves it by dual simplex, presolve off, through the binding scipy bundles
 (Huangfu & Hall, Math. Prog. Comp. 2018). The breakpoints are prices,
 whose column masses and costs are explicit; the first windows are centred
 on a seed price (the zero-rate price on a cold step, the previous step's
-prices on a warm one). The LP carries only a shortlist of arcs: a band of
-about one step's displacement around the diagonal plus every cell-wall arc
-in the first round, and the last plan's support widened by one cell plus
-the cell-wall arcs in every later one. A plan is a list of arcs and their
+prices on a warm one). A step keeps one HiGHS model of the LP: the first
+round builds it on a shortlist of arcs, a band of about one step's
+displacement around the diagonal plus every cell-wall arc, and every later
+round changes only the fill costs, the fill widths and the column
+right-hand sides in place and re-runs it from its last basis, as network
+simplex re-uses a basis (Peyre & Cuturi, Computational Optimal Transport,
+2019, sec. 3.4-3.5). After each solve the LP duals price every excluded
+arc, and arcs with negative reduced cost are appended to the same model
+until none is left, so each LP optimum is the optimum over all admissible
+arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016), and
+the shortlist only grows within a step. A plan is a list of arcs and their
 masses, from the LP's answer to the packaged step; TransportSolution.gamma
-builds the dense view only when read.
-After each solve the LP duals price every excluded arc, and arcs with
-negative reduced cost join the shortlist until none is left, so each LP
-optimum is the optimum over all admissible arcs (Gottschlich & Schuhmacher,
-PLoS ONE 2014; Schmitzer, JMIV 2016). Each wall is a reservoir that gives
+builds the dense view only when read. Each wall is a reservoir that gives
 or takes any mass, so both walls are one root node with no balance row and
 dual 0. Its reservoir price enters only through the one arc price
 CostMatrix.tilde, on the arcs to and from it, and every dual of the step is
@@ -39,7 +42,8 @@ and gives the duals top down and the arc masses bottom up, in O(|S|) as in
 network simplex. The duals are then made exactly feasible by a double
 c-transform, and the verified primal-dual gap certifies the step. A
 candidate whose support cannot carry or balance the marginals, or holds a
-cycle, is rejected like one whose gap is too large; there is no fallback: a
+cycle, or whose c-transform had to lower a column price beyond rounding, is
+rejected like one whose gap is too large; there is no fallback: a
 step returns its last assembled candidate, whose gap decides `converged`,
 or raises StepFailure naming the failed certificate. The one root search, a
 safeguarded Newton iteration, serves the balance gauge of support
@@ -118,12 +122,15 @@ class TransportSolution:
     -phi_star, so phi_star + cost_slope(h) = 0 with no offset. iterations
     counts the breakpoint-refinement rounds of the polish; residuals holds
     named convergence measures. stats counts what the step did: lp_rounds (LP
-    solves, pricing re-solves included), lp_arcs (the largest arc count of
-    those LPs), pricing_rounds (re-solves after dual pricing added arcs to the
-    shortlist), rejected_candidates (candidates assembled and discarded
+    solves, pricing re-solves included), lp_arcs (the arc count of the last
+    and largest of those LPs; the shortlist only grows), pricing_rounds
+    (re-solves after dual pricing added arcs to the shortlist),
+    rejected_candidates (candidates assembled and discarded
     because their gap was too large or their support could not carry or
-    balance the marginals, or held a cycle) and prune_passes (reduced-solve
-    passes that cut arcs from a candidate's support).
+    balance the marginals, or held a cycle, or whose feasibility repair moved
+    a column price beyond rounding), prune_passes (reduced-solve passes that
+    cut arcs from a candidate's support) and simplex_iterations (HiGHS's
+    simplex iterations, summed over the step's LP runs).
     """
 
     arcs: tuple
@@ -479,49 +486,87 @@ def _tight_tol(kern: _Kernel) -> float:
     return 1e-9 * (1.0 + kern.grid.length ** 2 / (2.0 * kern.tau))
 
 
-def _joint_lp(kern: _Kernel, cost: CostMatrix, breaks: np.ndarray, xi: np.ndarray,
-              mask: np.ndarray):
-    """One LP over plans and piecewise-linearized column costs, certified globally.
+class _JointLP:
+    """The joint LP of one step: one HiGHS model, re-solved from its last basis.
 
-    Variables are the arcs of mask plus, per column, the segment fills of
-    the linearized cost; column balance ties arc inflow to the base mass
-    plus the fills. The LP is solved on the shortlist mask, and every
-    excluded arc is priced with its duals: an arc whose reduced cost
-    tilde_ij - u_i - v_j lies below -tol joins the mask (in place) and the
-    LP is solved again. Once no arc is left, the shortlist optimum is the
-    optimum over all admissible arcs. A segment whose breakpoint masses tie
-    has width 0, so its fill is bounded by 0, costs nothing and adds
-    nothing to the position. Presolve is off: the 2n balance rows leave it
-    nothing to remove. Returns the last (largest) solve's plan as arcs (rows,
-    columns, masses) in row-major order, each column's optimum as a position
-    in segments from its first breakpoint, and the count of pricing re-solves.
+    Variables are the shortlisted arcs plus, per column, the segment fills
+    of the linearized cost; column balance ties arc inflow to the base mass
+    plus the fills. There is one model per step. The first solve builds it
+    on the interior shortlist listed (an n x n mask; _polish passes a band
+    around the diagonal) plus every cell-wall arc, and no wall-to-wall arc.
+    Every later solve changes only the fill costs and widths and the column
+    rows' base masses in place, and HiGHS runs again from the basis it
+    left. After each run the duals price every excluded arc: an arc whose
+    reduced cost tilde_ij - u_i - v_j lies below -tol is appended as a
+    column (and set in listed) and the same model runs again. Once no arc
+    is left, the shortlist optimum is the optimum over all admissible arcs.
+    The shortlist only grows. A segment whose breakpoint masses tie has
+    width 0, so its fill is bounded by 0, costs nothing and adds nothing to
+    the position.
     """
-    n = cost.n_cells
-    # a segment of masses tied by rounding holds no fill and costs nothing
-    widths = np.maximum(np.diff(breaks, axis=1), 0.0)
-    flat = widths == 0.0
-    slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
-    b_eq = np.concatenate([kern.mu, breaks[:, 0]])
-    tol = _tight_tol(kern)
-    pricing = 0
-    while True:
-        idx_r, idx_c = np.nonzero(mask)
-        n_arcs = len(idx_r)
-        c_vec = np.concatenate([cost.tilde[idx_r, idx_c], slopes.reshape(-1)])
-        x, duals = _highs_lp(idx_r, idx_c, c_vec, b_eq, widths, tol)
-        # walls carry no balance row, so their dual is zero; every cell-wall
-        # arc is always in the mask, and no wall-to-wall arc ever is, so
-        # only cell-to-cell arcs are priced
-        u = duals[:n]
-        v = duals[n:]
-        entering = ~mask[:n, :n] & (cost.tilde[:n, :n] - u[:, None] - v[None, :] < -tol)
-        if not np.any(entering):
-            break
-        mask[:n, :n] |= entering
-        pricing += 1
-    fill = x[n_arcs:].reshape(widths.shape)
-    pos = np.sum(np.divide(fill, widths, out=np.zeros_like(widths), where=~flat), axis=1)
-    return (idx_r, idx_c, x[:n_arcs]), pos, pricing
+
+    def __init__(self, kern: _Kernel, cost: CostMatrix, listed: np.ndarray):
+        self.kern = kern
+        self.cost = cost
+        self.listed = listed
+        self.highs = None
+        self.rows = self.cols = self.fills = None
+
+    def solve(self, breaks: np.ndarray, xi: np.ndarray):
+        """Optimum over all admissible arcs for the breakpoints (breaks, xi).
+
+        Returns the plan as arcs (rows, columns, masses) in row-major order,
+        each column's optimum as a position in segments from its first
+        breakpoint, the count of pricing re-solves and the simplex
+        iterations of every run.
+        """
+        kern, cost = self.kern, self.cost
+        n = cost.n_cells
+        # a segment of masses tied by rounding holds no fill and costs nothing
+        widths = np.maximum(np.diff(breaks, axis=1), 0.0)
+        flat = widths == 0.0
+        slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
+        tol = _tight_tol(kern)
+        if self.highs is None:
+            mask = np.zeros((n + 2, n + 2), dtype=bool)
+            mask[:n, :n] = self.listed
+            mask[:n, n:] = mask[n:, :n] = True
+            self.rows, self.cols = np.nonzero(mask)
+            c_vec = np.concatenate([cost.tilde[self.rows, self.cols], slopes.reshape(-1)])
+            self.highs = _highs_model(self.rows, self.cols, c_vec,
+                                      np.concatenate([kern.mu, breaks[:, 0]]), widths)
+            self.fills = np.arange(len(self.rows), len(self.rows) + widths.size, dtype=np.int32)
+        else:
+            self.highs.changeColsCost(widths.size, self.fills, slopes.reshape(-1))
+            self.highs.changeColsBounds(widths.size, self.fills, np.zeros(widths.size),
+                                        widths.reshape(-1))
+            for j, base in enumerate(breaks[:, 0].tolist()):
+                self.highs.changeRowBounds(n + j, base, base)
+        pricing = iterations = 0
+        while True:
+            x, duals, its = _highs_run(self.highs, tol)
+            iterations += its
+            # walls carry no balance row, so their dual is zero; every cell-wall
+            # arc is always in the model, and no wall-to-wall arc ever is, so
+            # only cell-to-cell arcs are priced
+            u = duals[:n]
+            v = duals[n:]
+            entering = ~self.listed & (cost.tilde[:n, :n] - u[:, None] - v[None, :] < -tol)
+            if not np.any(entering):
+                break
+            r, c = np.nonzero(entering)
+            self.listed[r, c] = True
+            start, index = _arc_entries(n, r, c)
+            self.highs.addCols(len(r), cost.tilde[r, c], np.zeros(len(r)), np.full(len(r), np.inf),
+                               len(index), start[:-1], index, np.ones(len(index)))
+            self.rows = np.r_[self.rows, r]
+            self.cols = np.r_[self.cols, c]
+            pricing += 1
+        fill = x[self.fills].reshape(widths.shape)
+        pos = np.sum(np.divide(fill, widths, out=np.zeros_like(widths), where=~flat), axis=1)
+        mass = np.delete(x, self.fills)
+        order = np.lexsort((self.cols, self.rows))
+        return (self.rows[order], self.cols[order], mass[order]), pos, pricing, iterations
 
 
 _HIGHS_OPTIONS = {
@@ -533,51 +578,85 @@ _HIGHS_OPTIONS = {
 }
 
 
-def _highs_lp(idx_r: np.ndarray, idx_c: np.ndarray, c_vec: np.ndarray, b_eq: np.ndarray,
-              widths: np.ndarray, tol: float):
-    """One joint LP by HiGHS dual simplex: the optimal columns and balance duals.
+def _arc_entries(n: int, idx_r: np.ndarray, idx_c: np.ndarray):
+    """Column-wise constraint entries of the arcs (idx_r[a], idx_c[a]): starts and rows.
+
+    An arc holds 1 at its row node and then at its column node (_arc_nodes),
+    the root (the walls) having no balance row.
+    """
+    nodes = np.stack(_arc_nodes(n, idx_r, idx_c), axis=1)
+    on_row = nodes < 2 * n
+    start = np.zeros(len(idx_r) + 1, dtype=np.int32)
+    np.cumsum(on_row.sum(axis=1), out=start[1:])
+    return start, nodes[on_row].astype(np.int32)
+
+
+def _highs_model(idx_r: np.ndarray, idx_c: np.ndarray, c_vec: np.ndarray, b_eq: np.ndarray,
+                 widths: np.ndarray):
+    """One joint LP as a HiGHS model, set for dual simplex with presolve off.
 
     Columns are the arcs (idx_r[a], idx_c[a]), then the (n, k) segment
     fills of widths, k per interior column, costed by c_vec. The 2n rows
-    balance the nodes of _arc_nodes to b_eq: an arc holds 1 at its row node
-    and then at its column node, the root (the walls) having no row, and a
-    fill holds -1 at its column's node. Arcs are bounded below by 0, fills
-    also above by their widths. HiGHS runs with linprog(method="highs")'s
-    settings, presolve off. An answer HiGHS does not call optimal is used
-    when its primal is feasible and its largest dual infeasibility is at
-    most tol, the pricing tolerance: the step's gap still decides. Any other
-    answer raises StepFailure(joint_lp) with HiGHS's model status.
+    balance the nodes of _arc_nodes to b_eq: each arc holds its
+    _arc_entries, and a fill holds -1 at its column's node. Arcs are
+    bounded below by 0, fills also above by their widths. The settings are
+    linprog(method="highs")'s, presolve off: the 2n balance rows leave it
+    nothing to remove.
     """
     n, k = widths.shape
     n_arcs = len(idx_r)
     n_fill = widths.size
     n_col = n_arcs + n_fill
-    nodes = np.stack(_arc_nodes(n, idx_r, idx_c), axis=1)
-    on_row = nodes < 2 * n
-    n_nz = np.count_nonzero(on_row) + n_fill
-    start = np.zeros(n_col + 1, dtype=np.int32)
-    np.cumsum(np.r_[on_row.sum(axis=1), np.ones(n_fill, dtype=int)], out=start[1:])
-    index = np.r_[nodes[on_row], n + np.repeat(np.arange(n), k)].astype(np.int32)
-    value = np.ones(n_nz)
-    value[n_nz - n_fill:] = -1.0
+    arc_start, arc_index = _arc_entries(n, idx_r, idx_c)
+    start = np.r_[arc_start, arc_start[-1] + np.arange(1, n_fill + 1)].astype(np.int32)
+    index = np.r_[arc_index, n + np.repeat(np.arange(n), k)].astype(np.int32)
+    value = np.r_[np.ones(len(arc_index)), -np.ones(n_fill)]
     upper = np.r_[np.full(n_arcs, np.inf), widths.reshape(-1)]
     highs = _highs._Highs()
     for key, val in _HIGHS_OPTIONS.items():
         highs.setOptionValue(key, val)
-    highs.passModel(n_col, 2 * n, n_nz, _highs.MatrixFormat.kColwise,
+    highs.passModel(n_col, 2 * n, len(index), _highs.MatrixFormat.kColwise,
                     _highs.ObjSense.kMinimize, 0.0, c_vec, np.zeros(n_col), upper, b_eq,
                     b_eq, start, index, value,
                     np.zeros(n_col, dtype=np.int32))  # every column continuous
+    return highs
+
+
+def _highs_run(highs, tol: float):
+    """Solve a model from its current basis (none on its first run).
+
+    Returns the optimal columns, the balance duals and the simplex
+    iterations spent. An answer HiGHS does not call optimal is used when
+    _usable: the step's gap still decides. A run from an earlier basis
+    whose answer is not usable runs once more from no basis, on the same
+    model: HiGHS can stop a hot start with status Unknown and a dual
+    infeasibility above tol on an LP it solves from scratch. Any other
+    answer raises StepFailure(joint_lp) with HiGHS's model status.
+    """
+    hot = highs.getBasis().valid
     highs.run()
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    if status != _highs.HighsModelStatus.kOptimal and not (
-            info.primal_solution_status == _highs.kSolutionStatusFeasible
-            and info.max_dual_infeasibility <= tol):
+    iterations = highs.getInfo().simplex_iteration_count
+    if hot and not _usable(highs, tol):
+        highs.clearSolver()
+        highs.run()
+        iterations += highs.getInfo().simplex_iteration_count
+    if not _usable(highs, tol):
+        status = highs.getModelStatus()
         raise StepFailure("joint_lp", int(status),
                           f"joint refinement LP: {highs.modelStatusToString(status)}")
     sol = highs.getSolution()
-    return np.array(sol.col_value), np.array(sol.row_dual)
+    return np.array(sol.col_value), np.array(sol.row_dual), iterations
+
+
+def _usable(highs, tol: float) -> bool:
+    """HiGHS's last answer is optimal, or feasible with no dual infeasibility above tol.
+
+    tol is the pricing tolerance.
+    """
+    info = highs.getInfo()
+    return highs.getModelStatus() == _highs.HighsModelStatus.kOptimal or (
+        info.primal_solution_status == _highs.kSolutionStatusFeasible
+        and info.max_dual_infeasibility <= tol)
 
 
 def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
@@ -593,26 +672,27 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     when the optimum sits in an end segment. Every LP whose optimum settles
     inside its windows hands its plan to _assemble_candidate; a candidate
     whose support cannot carry or balance the marginals is rejected like
-    one whose gap is too large, and the rounds go on. Every LP runs on an
-    arc shortlist that dual pricing extends whenever an excluded arc would
-    improve it: in the first round a band of _band_cells around the
-    diagonal plus the wall arcs, in every later one the last plan's support
-    widened by one cell in row and column plus the wall arcs (Schmitzer,
-    JMIV 2016). Returns the last candidate assembled, the refinement rounds
-    run and the step's counters (see TransportSolution). Raises the
-    StepFailure of the last candidate if it failed, and
-    StepFailure(lp_rounds) if no round settled inside its windows, so no
-    candidate was assembled.
+    one whose gap is too large, or whose feasibility repair moved a column
+    price beyond rounding (so its h and phi_star would disagree), and the
+    rounds go on. Every round solves the one _JointLP of the step: its
+    model is built in the first round, on a band of _band_cells around the
+    diagonal plus the wall arcs, and every later round and pricing re-solve
+    updates it in place and re-runs it from its last basis. Dual pricing
+    extends the shortlist whenever an excluded arc would improve it
+    (Schmitzer, JMIV 2016), so the shortlist only grows within a step.
+    Returns the last candidate assembled, the refinement rounds run and the
+    step's counters (see TransportSolution). Raises the StepFailure of the
+    last candidate if it failed, and StepFailure(lp_rounds) if no round
+    settled inside its windows, so no candidate was assembled.
     """
     n = cost.n_cells
-    # arc shortlist: interior arcs near the diagonal plus every cell-wall arc
-    mask = np.ones((n + 2, n + 2), dtype=bool)
-    mask[n:, n:] = False    # no plan holds a wall-to-wall arc
     cells = np.arange(n)
-    mask[:n, :n] = np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx)
+    # the first shortlist: interior arcs near the diagonal (the model adds
+    # every cell-wall arc)
+    lp = _JointLP(kern, cost,
+                  np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx))
     stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0,
-             "prune_passes": 0}
-    floor = _MASS_FLOOR_FACTOR * max(kern.total_mass, 1e-300)
+             "prune_passes": 0, "simplex_iterations": 0}
 
     k = 12
     target_width = 1e-11  # price windows this narrow have settled
@@ -623,10 +703,11 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         # prices fall along a row, so the breakpoint masses rise
         prices = hi[:, None] - (hi - lo)[:, None] * np.linspace(0.0, 1.0, k + 1)[None, :]
         breaks, xi = _xi_table(kern, prices)
-        arcs, pos, pricing = _joint_lp(kern, cost, breaks, xi, mask)
+        arcs, pos, pricing, iterations = lp.solve(breaks, xi)
         stats["lp_rounds"] += 1 + pricing
         stats["pricing_rounds"] += pricing
-        stats["lp_arcs"] = max(stats["lp_arcs"], len(arcs[0]))
+        stats["simplex_iterations"] += iterations
+        stats["lp_arcs"] = len(arcs[0])    # the shortlist only grows
         seg = (hi - lo) / k
         grow = (pos <= 0.5) | (pos >= k - 0.5)
         if not np.any(grow):
@@ -639,7 +720,8 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
                 if exc.certificate not in ("reduced_residual", "price_root"):
                     raise
                 cand, failure = None, exc
-            if cand is not None and cand.gap <= 1e-10 * (1.0 + abs(cand.objective)):
+            if (cand is not None and cand.gap <= 1e-10 * (1.0 + abs(cand.objective))
+                    and cand.repair <= 1e-12 * (1.0 + np.max(np.abs(cand.phi_star), initial=0.0))):
                 break
             if np.all(hi - lo <= target_width):
                 break
@@ -647,14 +729,6 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         width = np.where(grow, 3.0 * (hi - lo), np.maximum(3.0 * seg, target_width))
         lo = centre - 0.5 * width
         hi = centre + 0.5 * width
-        # the next shortlist: this plan's interior support widened by one
-        # cell in row and column (a 3 x 3 box), plus the wall arcs, which
-        # never leave it
-        r, c, mass = arcs
-        big = (r < n) & (c < n) & (mass > floor)
-        mask[:n, :n] = False
-        for dr, dc in np.ndindex(3, 3):
-            mask[np.clip(r[big] + dr - 1, 0, n - 1), np.clip(c[big] + dc - 1, 0, n - 1)] = True
     if failure is not None:
         raise failure
     if cand is None:
@@ -686,6 +760,7 @@ class _Candidate(NamedTuple):
     primal_value: float
     objective: float
     gap: float
+    repair: float    # the largest fall of a column price in the feasibility repair
 
 
 def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dict):
@@ -701,7 +776,9 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     root raises StepFailure(price_root). Potentials are made exactly
     feasible by a double c-transform over tilde, the walls at price 0, and
     the verified primal-dual gap certifies the candidate: at a true optimum
-    it vanishes to rounding.
+    it vanishes to rounding. h and rho are priced before the repair, so the
+    candidate records the largest fall of a column price in it: where that
+    is above rounding, the packaged phi_star and h disagree.
     """
     model = kern.model
     x = kern.x
@@ -728,11 +805,13 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     # feasibility repair: exact double c-transform over tilde with the walls
     # at price 0, lowering only entries that violate a constraint and
     # leaving tight arcs untouched
-    ps_out = np.minimum(ps_out, np.min(tilde[:, :n] - np.r_[phi_out, 0.0, 0.0][:, None], axis=0))
+    repaired = np.minimum(ps_out, np.min(tilde[:, :n] - np.r_[phi_out, 0.0, 0.0][:, None], axis=0))
+    repair = float(np.max(ps_out - repaired, initial=0.0))
+    ps_out = repaired
     phi_out = np.min(tilde[:n] - np.r_[ps_out, 0.0, 0.0][None, :], axis=1)
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
-    return _Candidate(plan, h, rho, phi_out, ps_out, primal, value, abs(gap))
+    return _Candidate(plan, h, rho, phi_out, ps_out, primal, value, abs(gap), repair)
 
 
 # ---------------------------------------------------------------------------

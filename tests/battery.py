@@ -20,9 +20,11 @@ Run from the repository root, with the library under test on the path:
 --dump writes, per solve, the plan as the nonzeros of gamma and every
 field of the solution, or the StepFailure it raised. --compare prints, per
 field, how many solves are bit-identical, the largest relative difference,
-the failures on each side and the worst kkt_kappa. A dump is a pickle:
-compare only dumps this script wrote. pytest does not collect this file;
-tests/test_battery.py runs a third of the instances.
+the failures on each side and the worst kkt_kappa; per stats key, each
+side's total over the solves both sides ran ("-" where a side lacks the
+key) and how many solves differ. A dump is a pickle: compare only dumps
+this script wrote. pytest does not collect this file; tests/test_battery.py
+runs a third of the instances.
 """
 from __future__ import annotations
 
@@ -188,7 +190,8 @@ def compare(path_a: str, path_b: str) -> None:
                   if "failure" in rec]
         print(f"failures in {side}: {len(failed)}" + (": " + ", ".join(failed) if failed else ""))
     both = [key for key in labels if "failure" not in a[key] and "failure" not in b[key]]
-    fields = sorted({f for key in both for f in a[key]} | {f for key in both for f in b[key]})
+    fields = sorted(({f for key in both for f in a[key]} | {f for key in both for f in b[key]})
+                    - {"stats"})
     print(f"{'field':28s} {'bit-identical':>15s} {'max rel diff':>13s}  at")
     for f in fields:
         same = 0
@@ -202,6 +205,13 @@ def compare(path_a: str, path_b: str) -> None:
             if rel >= worst:
                 worst, where = rel, key
         print(f"{f:28s} {same:>7d} / {len(both):<5d} {worst:13.3e}  {where}")
+    keys = sorted({k for key in both for side in (a, b) for k in side[key]["stats"]})
+    print(f"{'stats key':28s} {'total in A':>12s} {'total in B':>12s} {'solves differ':>14s}")
+    for k in keys:
+        totals = [sum(side[key]["stats"][k] for key in both) if all(
+            k in side[key]["stats"] for key in both) else "-" for side in (a, b)]
+        differ = sum(a[key]["stats"].get(k) != b[key]["stats"].get(k) for key in both)
+        print(f"stats.{k:22s} {totals[0]:>12} {totals[1]:>12} {differ:>14d}")
     for side, recs in (("A", a), ("B", b)):
         kkt = [(rec["residuals.kkt_kappa"], key) for key, rec in recs.items()
                if "failure" not in rec]

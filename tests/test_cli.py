@@ -43,8 +43,10 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert "support_slack" in report
     # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs;
     # both steps certify their first settled candidate, after one prune pass
-    # each that cuts the arcs whose peeled masses come out negative
-    assert "76 arcs max, 0 pricing rounds, 0 rejected candidates, 2 prune passes\n" in report
+    # each that cuts the arcs whose peeled masses come out negative; the line
+    # ends with the simplex iterations of both steps' LPs
+    assert ("76 arcs max, 0 pricing rounds, 0 rejected candidates, 2 prune passes, "
+            "39 simplex iterations\n") in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

@@ -263,16 +263,17 @@ def test_joint_lp_stays_sparse(monkeypatch):
 
     The dense LP had (n + 2)^2 - 4 = 4352 arc columns plus n * 12 = 768
     segment-fill columns on 64 cells, 5120 in all; the shortlist leaves the
-    fills alone. The counter wraps _highs_lp, the one HiGHS call.
+    fills alone. The counter wraps _highs_run, which runs every LP of the
+    step's one HiGHS model.
     """
     columns = []
-    real = transport._highs_lp
+    real = transport._highs_run
 
-    def counted(idx_r, idx_c, c_vec, *args):
-        columns.append(len(c_vec))
-        return real(idx_r, idx_c, c_vec, *args)
+    def counted(highs, tol):
+        columns.append(highs.getNumCol())
+        return real(highs, tol)
 
-    monkeypatch.setattr(transport, "_highs_lp", counted)
+    monkeypatch.setattr(transport, "_highs_run", counted)
     model, grid, mu = _drifty_step_64()
     sol = solve_jko_step(model, grid, 0.05, mu)
     assert sol.converged
@@ -285,18 +286,25 @@ def test_joint_lp_stays_sparse(monkeypatch):
 
 def test_highs_lp_matches_linprog(monkeypatch):
     """The direct HiGHS call answers a step's first LP as linprog does, bit for bit."""
-    calls = []
-    real = transport._highs_lp
+    built = []
+    answers = []
+    real_model = transport._highs_model
+    real_run = transport._highs_run
 
-    def first(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded_model(*args):
+        built.append(args)
+        return real_model(*args)
 
-    monkeypatch.setattr(transport, "_highs_lp", first)
+    def recorded_run(highs, tol):
+        answers.append(real_run(highs, tol))
+        return answers[-1]
+
+    monkeypatch.setattr(transport, "_highs_model", recorded_model)
+    monkeypatch.setattr(transport, "_highs_run", recorded_run)
     model, grid, mu = _drifty_step_64()
     solve_jko_step(model, grid, 0.05, mu)
-    idx_r, idx_c, c_vec, b_eq, widths, tol = calls[0]
-    x, duals = real(idx_r, idx_c, c_vec, b_eq, widths, tol)
+    idx_r, idx_c, c_vec, b_eq, widths = built[0]
+    x, duals, _ = answers[0]
     # each arc meets the balance rows of its interior ends; each fill, negated,
     # that of its column
     n_arcs, (n, k) = len(idx_r), widths.shape
@@ -322,14 +330,16 @@ def test_highs_lp_failure_names_the_model_status():
     no_fills = np.zeros((2, 0))
     # two cells that keep their mass cannot double it: infeasible
     with pytest.raises(StepFailure) as infeasible:
-        transport._highs_lp(np.array([0, 1]), np.array([0, 1]), np.zeros(2),
-                            np.array([1.0, 1.0, 2.0, 2.0]), no_fills, 1e-9)
+        transport._highs_run(transport._highs_model(np.array([0, 1]), np.array([0, 1]),
+                                                    np.zeros(2), np.array([1.0, 1.0, 2.0, 2.0]),
+                                                    no_fills), 1e-9)
     assert infeasible.value.certificate == "joint_lp"
     assert infeasible.value.value == 8
     # a wall-to-wall arc meets no balance row: at a negative price it is unbounded
     with pytest.raises(StepFailure) as unbounded:
-        transport._highs_lp(np.array([0, 1, 2]), np.array([0, 1, 3]),
-                            np.array([0.0, 0.0, -1.0]), np.ones(4), no_fills, 1e-9)
+        transport._highs_run(transport._highs_model(np.array([0, 1, 2]), np.array([0, 1, 3]),
+                                                    np.array([0.0, 0.0, -1.0]), np.ones(4),
+                                                    no_fills), 1e-9)
     assert unbounded.value.value == 10
 
 
@@ -354,6 +364,35 @@ def test_warm_step_takes_a_feasible_answer_highs_leaves_unfinished():
                           init_phi_star=cold.phi_star)
     assert cold.converged and warm.converged
     assert warm.residuals["polish_gap"] <= 1e-8
+
+
+def test_hot_start_that_stops_short_runs_again_from_scratch(monkeypatch):
+    """A hot-started LP whose answer is not usable is solved again from no basis.
+
+    In the second step of this log-law trajectory, HiGHS stops the second
+    LP, hot-started from the first one's basis, with status Unknown and a
+    dual infeasibility of 1.5e-7, above the pricing tolerance 1.1e-8. From
+    no basis the same model solves to optimal in a few iterations, and the
+    step certifies.
+    """
+    verdicts = []
+    real = transport._usable
+
+    def recorded(highs, tol):
+        verdicts.append(real(highs, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(transport, "_usable", recorded)
+    model = build_model(0.0, 1.0, make_reaction("log", w=1.2, q=0.3),
+                        drift=(0.0, 0.3), boundary_density=(1.0, 0.8))
+    grid = build_grid(0.0, 1.0, 32)
+    rho0 = 1.0 + 0.1399286709579916 * np.sin(np.pi * grid.cell_centers)
+    traj = run_minimizing_movement(model, grid, rho0, 0.05, 0.1, with_diagnostics=False)
+    assert len(traj.solutions) == 3
+    for sol in traj.solutions[1:]:
+        assert sol.converged
+        assert sol.residuals["polish_gap"] <= 1e-8
+    assert False in verdicts
 
 
 @pytest.mark.parametrize("law, n, tau, slope", [
@@ -620,22 +659,37 @@ def test_gauge_newton_does_not_circle_a_kink():
         assert sol.residuals["polish_gap"] <= 1e-12
 
 
-def test_later_rounds_run_on_the_last_support(monkeypatch):
-    """After the first round, each LP carries the last plan's widened support, not the band."""
-    arcs = []
-    real = transport._highs_lp
+def test_later_rounds_hot_start_the_one_model(monkeypatch):
+    """A step builds one HiGHS model; every later LP re-runs it from the last basis.
 
-    def counted(idx_r, idx_c, c_vec, *args):
-        arcs.append(len(c_vec) - 64 * 12)
-        return real(idx_r, idx_c, c_vec, *args)
+    On the 64-cell cold step the four LPs take 359, 133, 43 and 3 simplex
+    iterations: each later one starts from the basis the last one left.
+    """
+    models = []
+    iterations = []
+    real_model = transport._highs_model
+    real_run = transport._highs_run
 
-    monkeypatch.setattr(transport, "_highs_lp", counted)
+    def built(*args):
+        models.append(real_model(*args))
+        return models[-1]
+
+    def counted(highs, tol):
+        answer = real_run(highs, tol)
+        assert highs is models[-1]
+        iterations.append(answer[2])
+        return answer
+
+    monkeypatch.setattr(transport, "_highs_model", built)
+    monkeypatch.setattr(transport, "_highs_run", counted)
     model, grid, mu = _drifty_step_64()
     sol = solve_jko_step(model, grid, 0.05, mu)
     assert sol.converged
     assert sol.residuals["polish_gap"] <= 1e-8
-    assert len(arcs) >= 2
-    assert all(a < arcs[0] for a in arcs[1:])
+    assert len(models) == 1
+    assert len(iterations) == sol.stats["lp_rounds"] >= 2
+    assert sum(iterations) == sol.stats["simplex_iterations"]
+    assert all(its < iterations[0] for its in iterations[1:])
 
 
 def test_zero_width_segments_hold_no_fill(unit_model, grid8):
@@ -647,13 +701,12 @@ def test_zero_width_segments_hold_no_fill(unit_model, grid8):
     seed = -unit_model.cost_slope(np.zeros(n), grid8.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 11)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    mask = np.ones((n + 2, n + 2), dtype=bool)
-    mask[n:, n:] = False
-    _, pos, _ = transport._joint_lp(kern, cost, breaks, xi, mask.copy())
+    listed = np.ones((n, n), dtype=bool)
+    _, pos, _, _ = transport._JointLP(kern, cost, listed.copy()).solve(breaks, xi)
     # two more breakpoints at the first mass, each cheaper than the last
     tied_breaks = np.concatenate([breaks[:, :1], breaks[:, :1], breaks], axis=1)
     tied_xi = np.concatenate([xi[:, :1] + 2.0, xi[:, :1] + 1.0, xi], axis=1)
-    _, tied_pos, _ = transport._joint_lp(kern, cost, tied_breaks, tied_xi, mask.copy())
+    _, tied_pos, _, _ = transport._JointLP(kern, cost, listed.copy()).solve(tied_breaks, tied_xi)
     assert np.all(np.isfinite(tied_pos))
     assert np.allclose(tied_pos, pos, atol=1e-9)
 
@@ -680,11 +733,13 @@ def test_negative_wall_to_wall_price_stays_out_of_the_plan():
     seed = -model.cost_slope(np.zeros(n), grid.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 13)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    mask = np.ones((n + 2, n + 2), dtype=bool)
-    mask[n:, n:] = False
-    mask[:n, :n] = np.eye(n, dtype=bool)
-    (r, c, _), _, _ = transport._joint_lp(kern, cost, breaks, xi, mask)
+    lp = transport._JointLP(kern, cost, np.eye(n, dtype=bool))
+    (r, c, _), _, _, _ = lp.solve(breaks, xi)
     assert not np.any((r >= n) & (c >= n))
+    # the model's columns: no wall-to-wall arc, every cell-wall arc
+    mask = np.zeros((n + 2, n + 2), dtype=bool)
+    mask[lp.rows, lp.cols] = True
+    assert len(lp.rows) == np.count_nonzero(mask)
     assert not mask[n:, n:].any()
     assert mask[:n, n:].all() and mask[n:, :n].all()
 
@@ -722,15 +777,16 @@ def test_reservoir_price_is_read_once():
 def test_plan_is_scanned_once_per_lp():
     """Inside the step a plan is a list of arcs; only the LP scans a dense array.
 
-    _joint_lp lists the arcs of its shortlist mask; everything after it,
-    the support forest, the prune passes and the packaged step, reads the
-    arcs it returned. No admissible-arc mask is built.
+    _JointLP lists the arcs of its shortlist mask and of its entering
+    arcs; everything after it, the support forest, the prune passes and the
+    packaged step, reads the arcs it returned. No admissible-arc mask is
+    built.
     """
-    assert _readers(transport, {"nonzero"}) == {"_joint_lp"}
+    assert _readers(transport, {"nonzero"}) == {"_JointLP"}
     assert not hasattr(transport, "_admissible")
     # a packaged step is read through its arcs; its dense view is for callers
     for module in (transport, diagnostics, flow, cli):
-        assert not _readers(module, {"nonzero", "gamma"}) - {"_joint_lp"}, module.__name__
+        assert not _readers(module, {"nonzero", "gamma"}) - {"_JointLP"}, module.__name__
 
 
 def _stored_arrays(value):
