@@ -14,9 +14,6 @@ from .config import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    WindowReport,
-    created_mass_window,
-    fit_energy_constant,
     perturbation_inequalities,
     run_diagnostics,
     transported_mass_floor,
@@ -33,7 +30,6 @@ from .flow import (
     dissipation_ledger,
     run_minimizing_movement,
     tau_refinement_study,
-    telescoped_energy_bound,
     weak_window_budget,
 )
 from .grid import Grid, build_grid
@@ -82,7 +78,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryTable",
     "TransportSolution",
-    "WindowReport",
     "barrier_check",
     "brute_force_small",
     "build_cost_matrix",
@@ -91,10 +86,8 @@ __all__ = [
     "calibrate_barriers",
     "certified_price_window",
     "compare_trajectories",
-    "created_mass_window",
     "dissipation_ledger",
     "emit_report",
-    "fit_energy_constant",
     "make_reaction",
     "model_hash",
     "model_signature",
@@ -108,7 +101,6 @@ __all__ = [
     "solve_fixed_target",
     "solve_jko_step",
     "tau_refinement_study",
-    "telescoped_energy_bound",
     "transported_mass_floor",
     "weak_residual",
     "weak_window_budget",

@@ -123,9 +123,12 @@ def _tokenize(text: str):
 
 def _parse_scalar(token: str) -> float:
     try:
-        return float(token)
+        num = float(token)
     except ValueError:
         raise ConfigError(f"expected a number, got {token!r}") from None
+    if not np.isfinite(num):
+        raise ConfigError(f"expected a finite number, got {token!r}")
+    return num
 
 
 def _parse_numbers(value: str) -> tuple[float, ...]:

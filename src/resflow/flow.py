@@ -38,7 +38,6 @@ __all__ = [
     "run_minimizing_movement",
     "barrier_check",
     "dissipation_ledger",
-    "telescoped_energy_bound",
     "weak_window_budget",
     "tau_refinement_study",
 ]
@@ -227,11 +226,7 @@ def run_minimizing_movement(
         energies[k + 1] = model.free_energy.total(rho_next, x, dx)
         step_costs[k + 1] = sol.primal_value
         if with_diagnostics:
-            report = run_diagnostics(
-                sol, model, grid, tau, rho * dx, rho_next,
-                float(energies[k]), float(energies[k + 1]),
-            )
-            sol = dataclasses.replace(sol, diagnostics=report)
+            sol = dataclasses.replace(sol, diagnostics=run_diagnostics(sol, grid))
         solutions.append(sol)
         densities[k + 1] = rho_next
         rho = rho_next
@@ -334,25 +329,6 @@ def _reservoir_energy(trajectory: Trajectory, model: Model, k: int) -> float:
     psi = model.reservoir_potential(grid.cell_centers)
     pairing = float(psi @ trajectory.densities[k]) * grid.cell_width
     return float(trajectory.energies[k]) - pairing
-
-
-def telescoped_energy_bound(trajectory: Trajectory, model: Model) -> tuple[float, float]:
-    """Summed quadratic cost against the telescoped energy-drop bracket.
-
-    Returns (total quadratic cost, bracket); the first is bounded by a
-    model constant times the second. Requires diagnostics on every step.
-    """
-    total_quad = 0.0
-    for sol in trajectory.solutions[1:]:
-        if sol is None or sol.diagnostics is None:
-            raise ValueError("telescoped bound needs per-step diagnostics")
-        total_quad += sol.diagnostics.quadratic_cost
-    bracket = (
-        _reservoir_energy(trajectory, model, 0)
-        - _reservoir_energy(trajectory, model, trajectory.n_steps)
-        + trajectory.n_steps * trajectory.tau
-    )
-    return total_quad, bracket
 
 
 def weak_window_budget(

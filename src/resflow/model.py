@@ -61,7 +61,6 @@ class ModelAudit:
     as a failed check rather than an abort.
     """
 
-    lip_drift: float
     s: float
     s1: float
     b0: float
@@ -207,8 +206,9 @@ def build_model(
     Raises ValueError when the reaction's coefficient constraints fail
     somewhere on the interval, when no density produces rate zero anywhere on
     the domain (the reaction could then never sit still and the cost calculus
-    would have an empty interior), or when a boundary density is not
-    positive (its reservoir price would be undefined).
+    would have an empty interior), when a boundary density is not finite and
+    positive (its reservoir price would be undefined), or when a drift
+    coefficient is not finite.
     """
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -229,9 +229,12 @@ def build_model(
             f"(rate floor {float(np.max(floor))!r}); the model's equilibrium density is undefined"
         )
 
-    # endpoint reservoir potentials log(rho) + drift of the Dirichlet data
-    if bd[0] <= 0.0 or bd[1] <= 0.0:
-        raise ValueError(f"boundary densities must be positive, got {bd!r}")
+    # endpoint reservoir potentials log(rho) + drift of the Dirichlet data;
+    # both checks are written so that NaN fails them
+    if not all(b > 0.0 and math.isfinite(b) for b in bd):
+        raise ValueError(f"boundary densities must be finite and positive, got {bd!r}")
+    if not all(math.isfinite(c) for c in drift_coeff):
+        raise ValueError(f"drift coefficients must be finite, got {drift_coeff!r}")
     model = Model(
         x_lo=x_lo,
         x_hi=x_hi,
@@ -395,7 +398,6 @@ def validate_assumptions(model: Model) -> ModelAudit:
     )
 
     audit = ModelAudit(
-        lip_drift=abs(model.drift_coeff[1]),
         s=s,
         s1=s1,
         b0=b0,

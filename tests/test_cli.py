@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, file outputs, flag handling."""
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import resflow
-from resflow import StepFailure, flow
-from resflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_UNEXPECTED, main
+from resflow import StepFailure, cli, flow, model
+from resflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_UNEXPECTED, EXIT_VERIFY, main
 
 SMALL = """
 domain.n_cells = 8
@@ -129,6 +131,17 @@ def test_oracle_writes_field(small_cfg, tmp_path, capsys):
     assert "reference solve" in capsys.readouterr().out
 
 
+def test_oracle_default_step_divides_t_final(small_cfg, tmp_path):
+    # tau / 8 = 0.00875 does not divide t_final = 0.2; 23 steps of 0.2 / 23 do
+    small_cfg.write_text(SMALL.replace("scheme.tau = 0.1", "scheme.tau = 0.07"))
+    out = tmp_path / "oracle_out"
+    assert main(["oracle", "--config", str(small_cfg), "--output", str(out)]) == EXIT_OK
+    header = [line for line in (out / "reference.csv").read_text().splitlines()
+              if line.startswith("# dt:")]
+    assert len(header) == 1
+    assert float(header[0].split(":", 1)[1]) == 0.2 / math.ceil(0.2 / (0.07 / 8))
+
+
 def test_oracle_rejects_nondividing_dt(small_cfg, tmp_path):
     out = tmp_path / "oracle_bad"
     code = main(["oracle", "--config", str(small_cfg), "--output", str(out),
@@ -146,6 +159,34 @@ def test_audit_passes_for_small_model(small_cfg, capsys):
     out = capsys.readouterr().out
     assert "model assumption audit" in out
     assert "FAIL" not in out
+
+
+def test_audit_failure_exits_with_the_verify_code(small_cfg, monkeypatch, capsys):
+    real = model.validate_assumptions
+
+    def one_failed(m):
+        audit = real(m)
+        return dataclasses.replace(
+            audit, checks=audit.checks + (model.AuditCheck("planted-check", False, -1.0),))
+
+    monkeypatch.setattr(model, "validate_assumptions", one_failed)
+    assert main(["audit", "--config", str(small_cfg)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "planted-check" in captured.out and "FAIL" in captured.out
+    assert "verification failure" in captured.err
+
+
+def test_verify_failure_exits_with_the_verify_code(monkeypatch, capsys):
+    def battery():
+        yield "planted pass", True, 0.0
+        yield "planted fail", False, 2.5
+
+    monkeypatch.setattr(cli, "_verify_battery", battery)
+    assert main(["verify"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "PASS  planted pass  (worst 0.000e+00)\n" in out
+    assert "FAIL  planted fail  (worst 2.500e+00)\n" in out
+    assert "1 check(s) failed\n" in out
 
 
 def test_verify_battery_passes(capsys):

@@ -81,6 +81,12 @@ def test_render_default_round_trips():
         ("scheme.tau = abc", "number"),
         ("model.drift = 1, 2, 3", "one or two"),
         ("model.q = 0", "rate floor"),
+        ("model.boundary_density = nan", "'model.boundary_density': expected a finite number"),
+        ("scheme.tau = nan", "'scheme.tau': expected a finite number"),
+        ("scheme.t_final = nan", "'scheme.t_final': expected a finite number"),
+        ("scheme.t_final = inf", "'scheme.t_final': expected a finite number"),
+        ("initial.value = nan", "'initial.value': expected a finite number"),
+        ("model.drift = 0, nan", "'model.drift': expected a finite number"),
     ],
 )
 def test_rejections_name_the_problem(text, fragment):

@@ -103,6 +103,27 @@ def test_compare_restricts_fine_grid_by_cell_averages():
     assert d <= 1e-14
 
 
+def test_compare_is_symmetric_and_keeps_tiny_grids_whole():
+    """Either argument may be the finer path; a 2-cell grid drops no cell."""
+    rng = np.random.default_rng(5)
+    coarse = build_grid(0.0, 1.0, 8)
+    fine = build_grid(0.0, 1.0, 32)
+    times_c = np.array([0.0, 0.3, 0.55, 1.0])
+    times_f = np.linspace(0.0, 1.0, 6)
+    vals_c = 1.0 + 0.2 * rng.random((4, 8))
+    vals_f = 1.0 + 0.2 * rng.random((6, 32))
+    forward = compare_trajectories(coarse, times_c, vals_c, fine, times_f, vals_f)
+    assert forward > 0.0
+    assert compare_trajectories(fine, times_f, vals_f, coarse, times_c, vals_c) == forward
+
+    pair = build_grid(0.0, 1.0, 2)
+    times = np.array([0.0, 0.5, 1.0])
+    a = np.ones((3, 2))
+    # offset 0.25 on both cells of width 1/2 over unit time
+    got = compare_trajectories(pair, times, a, pair, times, a + 0.25)
+    assert got == pytest.approx(math.sqrt(0.25**2 * 2 * 0.5), rel=1e-12)
+
+
 def test_compare_rejects_mismatched_inputs():
     g_a = build_grid(0.0, 1.0, 8)
     g_b = build_grid(0.0, 2.0, 8)

@@ -155,7 +155,6 @@ def test_audit_constants_have_expected_signs(unit_model):
     audit = unit_model.audit
     assert audit.s == pytest.approx(1.0)      # zero-rate density
     assert audit.c0 >= 0.0
-    assert audit.lip_drift == 0.0
 
 
 def test_build_model_rejects_bad_inputs():
@@ -166,6 +165,13 @@ def test_build_model_rejects_bad_inputs():
         build_model(0.0, 1.0, law, boundary_density=0.0)
     with pytest.raises(ValueError):
         build_model(0.0, 1.0, law, boundary_density=(1.0, -2.0))
+    # non-finite data has no reservoir price or drift
+    with pytest.raises(ValueError, match="finite"):
+        build_model(0.0, 1.0, law, boundary_density=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        build_model(0.0, 1.0, law, boundary_density=(1.0, math.inf))
+    with pytest.raises(ValueError, match="finite"):
+        build_model(0.0, 1.0, law, drift=(0.0, math.nan))
 
 
 def test_cost_slope_raises_below_rate_floor(unit_model):

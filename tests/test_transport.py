@@ -154,6 +154,30 @@ def test_unbracketed_price_root_raises_step_failure(unit_model, grid8, monkeypat
     assert err.value.value > 0.0
 
 
+def test_unsettled_windows_raise_lp_rounds(unit_model, grid8, monkeypatch):
+    """No round settles inside its windows: the step fails after its 40 rounds.
+
+    The stub puts every column at its window's lower edge, so each window
+    triples; it calls no LP solver, since the windows grow by 3^40.
+    """
+    n = grid8.n_cells
+    calls = []
+
+    def at_lower_edge(self, breaks, xi):
+        calls.append(breaks.shape)
+        none = np.zeros(0, dtype=np.int64)
+        return (none, none, np.zeros(0)), np.zeros(n), 0, 0
+
+    monkeypatch.setattr(transport._JointLP, "solve", at_lower_edge)
+    mu = (1.0 + 0.1 * np.sin(np.pi * grid8.cell_centers)) * grid8.cell_width
+    # the last windows span ~1e19 in price, where the rates overflow to inf
+    with pytest.raises(StepFailure, match="lp_rounds") as err, np.errstate(over="ignore"):
+        solve_jko_step(unit_model, grid8, 0.1, mu)
+    assert err.value.certificate == "lp_rounds"
+    assert err.value.value == 40
+    assert len(calls) == 40
+
+
 def test_warm_start_reproduces_cold_solution(unit_model, grid16):
     rho0 = 1.0 + 0.1 * np.sin(np.pi * grid16.cell_centers)
     mu = rho0 * grid16.cell_width
@@ -765,13 +789,12 @@ def _readers(module, attrs):
 def test_reservoir_price_is_read_once():
     """The reservoir price enters transport only through build_cost_matrix.
 
-    Everything else reads the arc price tilde with both walls at price 0.
-    created_mass_window reads the potentials for its a-priori rate window
-    and prices no arc.
+    Everything else, the diagnostics included, reads the arc price tilde
+    with both walls at price 0.
     """
     psi = {"psi_lo", "psi_hi"}
     assert _readers(transport, psi) == {"build_cost_matrix"}
-    assert _readers(diagnostics, psi) == {"created_mass_window"}
+    assert _readers(diagnostics, psi) == set()
 
 
 def test_plan_is_scanned_once_per_lp():
