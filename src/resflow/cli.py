@@ -210,6 +210,7 @@ def _verify_battery():
     # brute-force equivalence on tiny instances, fixed-target and implicit
     worst_val = 0.0
     worst_h = 0.0
+    windows_missed = 0
     for trial in range(6):
         kind, params = presets[trial % 3]
         n = 1 + trial % 3
@@ -228,8 +229,11 @@ def _verify_battery():
             ref = brute_force_small(model, grid, tau, mu)
         worst_val = max(worst_val, abs(sol.objective - ref.value))
         worst_h = max(worst_h, float(np.max(np.abs(sol.h - ref.h))))
+        windows_missed += not ref.window_ok
     yield "brute-force objective agreement", worst_val <= 1e-6, worst_val
     yield "brute-force creation agreement", worst_h <= 1e-4, worst_h
+    # the oracle's rates lie in the rate window of its certified price window
+    yield "brute-force price window", windows_missed == 0, float(windows_missed)
 
     # marginal feasibility and dual structure on a mid-size step
     grid = build_grid(0.0, 1.0, 12)

@@ -263,10 +263,11 @@ def make_reaction(kind: str, **params) -> ReactionLaw:
     """Build a registered reaction law.
 
     Coefficients accept a float (constant in space) or an (intercept, slope)
-    pair for affine spatial variation. Only the kind and the parameter names
-    are checked here; the coefficient constraints (w > 0, 1 + beta > 0,
-    0 < alpha <= 1, q >= 0) depend on the interval, so build_model checks
-    them through check_coefficients at the interval's endpoints.
+    pair for affine spatial variation. The kind, the parameter names and
+    that every coefficient is finite are checked here; the coefficient
+    constraints (w > 0, 1 + beta > 0, 0 < alpha <= 1, q >= 0) depend on the
+    interval, so build_model checks them through check_coefficients at the
+    interval's endpoints.
     """
     if kind not in _LAWS:
         raise ValueError(f"unknown reaction kind {kind!r}; registered kinds: {REACTION_KINDS}")
@@ -274,4 +275,8 @@ def make_reaction(kind: str, **params) -> ReactionLaw:
     if set(params) != set(names):
         raise ValueError(f"{kind} reaction needs exactly {sorted(names)}, got {sorted(params)}")
     coeffs = {name: as_coefficient(params[name]) for name in names}
+    for name, coeff in coeffs.items():
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError(f"{kind} reaction coefficient {name} must be finite, "
+                             f"got {params[name]!r}")
     return ReactionLaw(label=kind, params=coeffs, **builder(**coeffs))

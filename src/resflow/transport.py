@@ -18,15 +18,17 @@ solves it by dual simplex, presolve off, through the binding scipy bundles
 (Huangfu & Hall, Math. Prog. Comp. 2018). The breakpoints are prices,
 whose column masses and costs are explicit; the first windows are centred
 on a seed price (the zero-rate price on a cold step, the previous step's
-prices on a warm one). A step keeps one HiGHS model of the LP: the first
-round builds it on a shortlist of arcs, a band of about one step's
-displacement around the diagonal plus every cell-wall arc, and every later
-round changes only the fill costs, the fill widths and the column
-right-hand sides in place and re-runs it from its last basis, as network
-simplex re-uses a basis (Peyre & Cuturi, Computational Optimal Transport,
-2019, sec. 3.4-3.5). After each solve the LP duals price every excluded
-arc, and arcs with negative reduced cost are appended to the same model
-until none is left, so each LP optimum is the optimum over all admissible
+prices on a warm one). Those windows are a guess, so the first round's LP
+only locates the optimum: its plan becomes a candidate only when every
+column's optimum sits on the seed price. A step keeps one HiGHS model of
+the LP: the first round builds it on a shortlist of arcs, a band of about
+one step's displacement around the diagonal plus every cell-wall arc, and
+every later round changes only the fill costs, the fill widths and the
+column right-hand sides in place and re-runs it from its last basis, as
+network simplex re-uses a basis (Peyre & Cuturi, Computational Optimal
+Transport, 2019, sec. 3.4-3.5). After each solve the LP duals price every
+excluded arc, and arcs with negative reduced cost are appended to the same
+model until none is left, so each LP optimum is the optimum over all admissible
 arcs (Gottschlich & Schuhmacher, PLoS ONE 2014; Schmitzer, JMIV 2016), and
 the shortlist only grows within a step. A plan is a list of arcs and their
 masses, from the LP's answer to the packaged step; TransportSolution.gamma
@@ -37,19 +39,20 @@ CostMatrix.tilde, on the arcs to and from it, and every dual of the step is
 a price against that table. The support of the LP plan, a spanning forest
 as every basic transportation plan is (Peyre & Cuturi, Computational
 Optimal Transport, 2019, sec. 3.4-3.5), is snapped to machine precision on
-one tree rooted at the walls: one breadth-first walk tests it for a cycle
-and gives the duals top down and the arc masses bottom up, in O(|S|) as in
-network simplex. The duals are then made exactly feasible by a double
-c-transform, and the verified primal-dual gap certifies the step. A
-candidate whose support cannot carry or balance the marginals, or holds a
-cycle, or whose c-transform had to lower a column price beyond rounding, is
-rejected like one whose gap is too large; there is no fallback: a
-step returns its last assembled candidate, whose gap decides `converged`,
-or raises StepFailure naming the failed certificate. The one root search, a
-safeguarded Newton iteration, serves the balance gauge of support
-components with no wall arc. The creation field and (for implicit steps)
-the density are defined through the dual prices, so the marginal-cost
-identities hold by construction, with no offset.
+one tree rooted at the walls: a union-find pass over plain lists tests it
+for a cycle, and one breadth-first walk gives the duals top down and the
+arc masses bottom up, in O(|S|) as in network simplex. The duals are then
+made exactly feasible by a double c-transform, and the verified
+primal-dual gap certifies the step. A candidate whose support cannot carry
+or balance the marginals, or holds a cycle, or whose c-transform had to
+lower a column price beyond rounding, is rejected like one whose gap is
+too large; there is no fallback: a step returns its last assembled
+candidate, whose gap decides `converged`, or raises StepFailure naming the
+failed certificate. The one root search, a safeguarded Newton iteration,
+serves the balance gauge of support components with no wall arc. The
+creation field and (for implicit steps) the density are defined through
+the dual prices, so the marginal-cost identities hold by construction,
+with no offset.
 """
 from __future__ import annotations
 
@@ -58,8 +61,6 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 # HiGHS's own binding, the one scipy.optimize.linprog drives: the private
 # module scipy.optimize._highspy._core (hence the scipy floor in pyproject.toml)
 from scipy.optimize._highspy import _core as _highs
@@ -311,38 +312,70 @@ class _Forest(NamedTuple):
 def _support_forest(n: int, idx_r: np.ndarray, idx_c: np.ndarray) -> _Forest | None:
     """The support arcs as one tree rooted at the walls, or None if they hold a cycle.
 
-    The nodes are those of _arc_nodes. Each interior component with no
+    The nodes are those of _arc_nodes, and union-find over the arcs that
+    join two cells gives the interior components. Each one with no
     wall arc hangs from the root at its lowest-index node by a gauge edge,
     which carries no arc. Every component then reaches the root, so the
     graph is connected, and it is a tree (the support a forest, the walls
     counted as one node) exactly when it has 2n edges. The tree is walked
     breadth-first from the root, as network simplex walks a basis (Peyre &
-    Cuturi, Computational Optimal Transport, 2019, sec. 3.5).
+    Cuturi, Computational Optimal Transport, 2019, sec. 3.5): each node
+    visits the nodes its arcs lead to, then those whose arcs lead to it,
+    each list by index. _arc_masses sums up the tree in the reverse of
+    that order, so the order fixes its rounding.
     """
     root = 2 * n
-    a, b = _arc_nodes(n, idx_r, idx_c)
-    inner = (a < root) & (b < root)
-    graph = sparse.csr_matrix((np.ones(np.count_nonzero(inner)), (a[inner], b[inner])),
-                              shape=(root, root))
-    n_comp, label = csgraph.connected_components(graph, directed=False)
-    walled = np.zeros(n_comp, dtype=bool)
-    walled[label[np.minimum(a, b)[~inner]]] = True
-    gauge = np.unique(label, return_index=True)[1][~walled]
-    if len(idx_r) + len(gauge) != root:
+    if len(idx_r) > root:
+        return None    # more arcs than a tree on the 2n + 1 nodes holds
+    a, b = (nodes.tolist() for nodes in _arc_nodes(n, idx_r, idx_c))
+    # union-find of the interior components: the walls join none
+    up = list(range(root))
+
+    def find(v):
+        while up[v] != v:
+            up[v] = v = up[up[v]]
+        return v
+
+    for u, v in zip(a, b):
+        if u < root and v < root:
+            up[find(u)] = find(v)
+    # components are numbered by their lowest node
+    label, lowest, number = [], [], {}
+    for v in range(root):
+        rep = find(v)
+        if rep not in number:
+            number[rep] = len(lowest)
+            lowest.append(v)
+        label.append(number[rep])
+    walled = [False] * len(lowest)
+    for u, v in zip(a, b):
+        if u == root or v == root:
+            walled[label[min(u, v)]] = True
+    gauge = [v for v, wall in zip(lowest, walled) if not wall]
+    if len(a) + len(gauge) != root:
         return None
-    a = np.r_[a, np.full(len(gauge), root)]
-    b = np.r_[b, gauge]
-    tree = sparse.csr_matrix((np.ones(root), (a, b)), shape=(root + 1, root + 1))
-    order, pred = csgraph.breadth_first_order(tree, root, directed=False,
-                                              return_predecessors=True)
-    # every edge hangs its far end from its near end
-    child = np.where(pred[a] == b, a, b)[:len(idx_r)]
-    arc_r = np.full(root + 1, -1)
-    arc_c = np.full(root + 1, -1)
-    arc_r[child] = idx_r
-    arc_c[child] = idx_c
-    node = order[1:]
-    return _Forest(node, pred[node], arc_r[node], arc_c[node], label, walled)
+    # the edges out of and into each node, as (node, arc); a gauge edge has arc -1
+    out = [[] for _ in range(root + 1)]
+    into = [[] for _ in range(root + 1)]
+    for k, (u, v) in enumerate(zip(a, b)):
+        out[u].append((v, k))
+        into[v].append((u, k))
+    for v in gauge:
+        out[root].append((v, -1))
+        into[v].append((root, -1))
+    order, parent, hang = [root], [], []
+    seen = [False] * (root + 1)
+    seen[root] = True
+    for p in order:
+        for v, k in sorted(out[p]) + sorted(into[p]):
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+                parent.append(p)
+                hang.append(k)
+    hang = np.array(hang, dtype=int)
+    return _Forest(np.array(order[1:]), np.array(parent), np.r_[idx_r, -1][hang],
+                   np.r_[idx_c, -1][hang], np.array(label), np.array(walled))
 
 
 def _forest_potentials(kern: _Kernel, cost: CostMatrix, forest: _Forest):
@@ -670,7 +703,11 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     the LP optimum, read off its segment fills and mapped linearly onto the
     active segment's price bracket; it shrinks fourfold, or grows threefold
     when the optimum sits in an end segment. Every LP whose optimum settles
-    inside its windows hands its plan to _assemble_candidate; a candidate
+    inside its windows hands its plan to _assemble_candidate, except in
+    round 0: the seed's windows are a guess no LP has centred, so that
+    round's plan only locates the optimum, unless every column's optimum
+    sits on the seed's middle breakpoint (a seed that is the optimum still
+    certifies on its first LP). A candidate
     whose support cannot carry or balance the marginals is rejected like
     one whose gap is too large, or whose feasibility repair moved a column
     price beyond rounding (so its h and phi_star would disagree), and the
@@ -710,7 +747,9 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
         stats["lp_arcs"] = len(arcs[0])    # the shortlist only grows
         seg = (hi - lo) / k
         grow = (pos <= 0.5) | (pos >= k - 0.5)
-        if not np.any(grow):
+        # the first windows are the seed's guess: their plan only locates the
+        # optimum, unless every column's optimum sits on the seed price
+        if not np.any(grow) and (rnd > 0 or np.all(np.abs(pos - 0.5 * k) <= 1e-9 * k)):
             # a new candidate supersedes, and so rejects, the last one
             if cand is not None or failure is not None:
                 stats["rejected_candidates"] += 1

@@ -44,11 +44,14 @@ def test_solve_writes_trajectory(small_cfg, tmp_path, capsys):
     assert (out / "report.txt").read_text() == report
     assert "support_slack" in report
     # 8 cells, tau = 0.1: interior arcs |i - j| <= 2 + 1 (44) plus 32 wall arcs;
-    # both steps certify their first settled candidate, after one prune pass
-    # each that cuts the arcs whose peeled masses come out negative; the line
-    # ends with the simplex iterations of both steps' LPs
-    assert ("76 arcs max, 0 pricing rounds, 0 rejected candidates, 2 prune passes, "
-            "39 simplex iterations\n") in report
+    # each step's first LP settles inside the seed's windows but off the seed,
+    # so it assembles no candidate, and each certifies the candidate of its
+    # second LP, hot-started from the first: the first step after one prune
+    # pass that cuts the arcs whose peeled masses come out negative, the
+    # second with none; the line ends with the simplex iterations of both
+    # steps' four LPs
+    assert ("76 arcs max, 0 pricing rounds, 0 rejected candidates, 1 prune passes, "
+            "47 simplex iterations\n") in report
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
@@ -193,6 +196,8 @@ def test_verify_battery_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # no brute-force rate leaves the rate window of its certified price window
+    assert "PASS  brute-force price window  (worst 0.000e+00)\n" in out
 
 
 def test_unknown_subcommand_exits_via_argparse():

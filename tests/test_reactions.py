@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,20 @@ def test_positivity_constraints(kind, params):
     law = make_reaction(kind, **params)
     with pytest.raises(ValueError, match="whole interval"):
         build_model(0.0, 1.0, law, run_audit=False)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("power", {"w": 1.0, "beta": 0.5, "q": 0.8}),
+    ("log", {"w": 1.2, "q": 0.3}),
+    ("signed-power", {"w": 1.0, "alpha": 0.5, "q": 0.4}),
+])
+def test_non_finite_coefficients_are_refused(kind, params):
+    """nan passes every comparison's negation and inf passes w > 0 and q >= 0:
+    make_reaction refuses both, in the intercept or the slope, naming the parameter."""
+    for name in params:
+        for bad in (math.nan, math.inf, -math.inf, (params[name], math.nan)):
+            with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+                make_reaction(kind, **{**params, name: bad})
 
 
 def test_power_rate_closed_form():

@@ -474,17 +474,52 @@ def test_step_at_its_optimum_takes_one_lp(unit_model, grid8, grid16):
         assert sol.stats["lp_rounds"] == 1
 
 
+def test_first_round_plan_only_locates_the_optimum(monkeypatch):
+    """The seed's windows are a guess: their LP's plan reaches no candidate.
+
+    On the cold 64-cell step the first LP settles inside the seed's windows,
+    but off the seed price, so its plan is not assembled; every candidate
+    comes from a later LP, whose windows that LP has centred.
+    """
+    positions, assembled_after = [], []
+    real_solve = transport._JointLP.solve
+    real_assemble = transport._assemble_candidate
+
+    def solved(self, breaks, xi):
+        answer = real_solve(self, breaks, xi)
+        positions.append(answer[1])
+        return answer
+
+    def assembled(*args):
+        assembled_after.append(len(positions))
+        return real_assemble(*args)
+
+    monkeypatch.setattr(transport._JointLP, "solve", solved)
+    monkeypatch.setattr(transport, "_assemble_candidate", assembled)
+    model, grid, mu = _drifty_step_64()
+    sol = solve_jko_step(model, grid, 0.05, mu)
+    assert sol.converged
+    # the first LP settled (no column in an end segment), off the seed's breakpoint
+    pos = positions[0]
+    assert np.all((pos > 0.5) & (pos < 11.5)) and np.max(np.abs(pos - 6.0)) > 0.1
+    assert assembled_after and min(assembled_after) >= 2
+
+
 def test_transport_builds_no_dense_matrix():
     """Arc masses come from leaf peeling: no NNLS fit and no densified incidence.
 
-    The LP goes to HiGHS directly, with no linprog wrapper in between.
+    The LP goes to HiGHS directly, with no linprog wrapper in between, and
+    the support forest is walked on plain lists, with no sparse graph.
     """
     tree = ast.parse(Path(transport.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
-    assert not imported & {"nnls", "linprog"}, imported
+        elif isinstance(node, ast.ImportFrom):
+            imported.update({node.module} | {f"{node.module}.{a.name}" for a in node.names}
+                            | {a.name for a in node.names})
+    assert not imported & {"nnls", "linprog", "scipy.sparse", "csgraph"}, imported
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not attrs & {"nnls", "toarray", "todense"}, attrs
 
@@ -512,6 +547,84 @@ def _random_forest(rng, n, n_comp):
         else:
             support[wall, rng.choice(cols)] = True
     return support
+
+
+def _csgraph_forest(n, idx_r, idx_c):
+    """_support_forest by scipy.sparse.csgraph: components, cycle test and BFS.
+
+    Returns None on a cycle, else (node order, parents, hanging arcs, label,
+    walled flag per node). The walls are the one root node 2n; a component
+    with no wall arc hangs from it by a gauge edge at its lowest node.
+    """
+    from scipy.sparse import csgraph
+
+    root = 2 * n
+    a, b = transport._arc_nodes(n, idx_r, idx_c)
+    # a cycle, the walls as one node: more arcs than nodes less components
+    full = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(root + 1, root + 1))
+    if len(a) > root + 1 - csgraph.connected_components(full, directed=False)[0]:
+        return None
+    inner = (a < root) & (b < root)
+    graph = sparse.csr_matrix((np.ones(np.count_nonzero(inner)), (a[inner], b[inner])),
+                              shape=(root, root))
+    n_comp, label = csgraph.connected_components(graph, directed=False)
+    walled = np.zeros(n_comp, dtype=bool)
+    walled[label[np.minimum(a, b)[~inner]]] = True
+    gauge = np.unique(label, return_index=True)[1][~walled]
+    ta, tb = np.r_[a, np.full(len(gauge), root)], np.r_[b, gauge]
+    tree = sparse.csr_matrix((np.ones(len(ta)), (ta, tb)), shape=(root + 1, root + 1))
+    order, pred = csgraph.breadth_first_order(tree, root, directed=False,
+                                              return_predecessors=True)
+    hang = {}
+    for k, (u, v) in enumerate(zip(a, b)):
+        hang[u if pred[u] == v else v] = (idx_r[k], idx_c[k])
+    node = order[1:]
+    arcs = np.array([hang.get(v, (-1, -1)) for v in node])
+    return node, pred[node], arcs, label, walled[label]
+
+
+def _same_partition(x, y):
+    return len(set(zip(x.tolist(), y.tolist()))) == len(set(x.tolist())) == len(set(y.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_support_forest_walks_as_csgraph_does(seed):
+    """The plain-list forest against scipy's csgraph, on forests and cycles.
+
+    Random forests, some trees without a wall arc (they hang by a gauge
+    edge), and the same with random extra arcs, most of which close a
+    cycle: the same node order, parents, hanging arcs, components and
+    walled flags, and None exactly on a cycle.
+    """
+    rng = np.random.default_rng(seed)
+    cycles = forests = gauged = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 30))
+        support = _random_forest(rng, n, n_comp=int(rng.integers(1, min(n, 6) + 1)))
+        # drop some wall arcs: their trees hang from the root by a gauge edge
+        for r, c in np.argwhere(support):
+            if (r >= n or c >= n) and rng.random() < 0.4:
+                support[r, c] = False
+        for _ in range(trial % 3):
+            r, c = rng.integers(0, n + 2, 2)
+            if r < n or c < n:
+                support[r, c] = True
+        idx_r, idx_c = np.nonzero(support)
+        ref = _csgraph_forest(n, idx_r, idx_c)
+        forest = transport._support_forest(n, idx_r, idx_c)
+        if ref is None:
+            cycles += 1
+            assert forest is None
+            continue
+        forests += 1
+        gauged += np.any(forest.arc_r < 0)
+        node, parent, arcs, label, walled = ref
+        assert np.array_equal(forest.node, node)
+        assert np.array_equal(forest.parent, parent)
+        assert np.array_equal(np.stack([forest.arc_r, forest.arc_c], axis=1), arcs)
+        assert _same_partition(forest.label, label)
+        assert np.array_equal(forest.walled[forest.label], walled)
+    assert cycles and forests and gauged
 
 
 @pytest.mark.parametrize("seed", range(4))
