@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: solve (one trajectory + diagnostics), sweep (step-size
+Subcommands: solve (one trajectory and its report), sweep (step-size
 refinement study), oracle (reference finite-difference solve), compare
 (trajectory vs reference distance), audit (model assumption checks), verify
 (invariant battery on small grids, including brute-force equivalence).
@@ -85,7 +85,7 @@ def _cmd_solve(args) -> int:
     model = cfg.build_model()
     traj = flow.run_minimizing_movement(
         model, grid, cfg.initial_density(grid), cfg.scheme.tau, cfg.scheme.t_final,
-        with_diagnostics=cfg.output.diagnostics,
+        with_diagnostics=False,
     )
     path = _out_path(cfg, "trajectory.csv")
     io.write_trajectory_csv(path, traj, model)

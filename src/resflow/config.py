@@ -78,7 +78,6 @@ class InitialConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "."
-    diagnostics: bool = True
 
 
 @dataclass(frozen=True)
@@ -142,15 +141,6 @@ def _parse_coefficient(value: str) -> Coefficient:
     if len(nums) == 2:
         return (nums[0], nums[1])
     raise ConfigError(f"coefficients take one or two numbers, got {value!r}")
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
 
 
 def _parse_int(value: str) -> int:
@@ -257,7 +247,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     output = OutputConfig(
         directory=get("output.directory", str, "."),
-        diagnostics=get("output.diagnostics", _parse_bool, True),
     )
 
     if entries:
@@ -277,8 +266,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -318,5 +305,4 @@ def render_config(cfg: ExperimentConfig) -> str:
         lines.append(f"initial.amplitude = {_fmt(cfg.initial.amplitude)}")
         lines.append(f"initial.modes = {cfg.initial.modes}")
     lines.append(f"output.directory = {cfg.output.directory}")
-    lines.append(f"output.diagnostics = {_fmt(cfg.output.diagnostics)}")
     return "\n".join(lines) + "\n"

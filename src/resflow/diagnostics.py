@@ -72,37 +72,25 @@ def perturbation_inequalities(
     Each inequality prices a local reroute of an optimal pair: redirecting
     transported mass to another interior target, to a wall, or replacing a
     wall trip by interior creation, must never pay less than the current
-    arrangement. Every arc is priced by CostMatrix.tilde, which carries the
-    reservoir price on wall arcs. Checked on the heaviest supported arcs
-    plus the one unconditional wall-creation comparison; returns
-    max(violation, 0) with 0 meaning every sampled inequality holds.
+    arrangement. Every arc is priced by CostMatrix.price, which carries the
+    reservoir price on wall arcs, and an arrival at a cell also pays the
+    cell's creation price, so a row's cheapest reroute is its c-transform
+    against those prices, walls at 0 (a wall row reaches cells only).
+    Checked on the heaviest supported arcs plus the one unconditional
+    wall-creation comparison; returns max(violation, 0) with 0 meaning every
+    sampled inequality holds.
     """
     n = grid.n_cells
-    x = grid.cell_centers
-    tilde = build_cost_matrix(model, grid, tau).tilde
-    slope = model.cost_slope(solution.h, x)
+    cost = build_cost_matrix(model, grid, tau)
+    slope = model.cost_slope(solution.h, grid.cell_centers)
+    reroute, _ = cost.c_transform(-slope, to_rows=True)
 
-    worst = 0.0
     # wall source vs interior creation, no support requirement
-    free = slope[None, :] + tilde[n:, :n]
-    worst = max(worst, float(np.max(-free)))
-
-    interior_price = slope[None, :] + tilde[:, :n]
-    for row, col in _supported_arcs(solution, max_pairs):
-        if col < n:
-            # redirect the arrival to any other interior cell
-            lhs = slope[col] + tilde[row, col]
-            worst = max(worst, lhs - float(np.min(interior_price[row])))
-            if row < n:
-                # or send the same mass to a wall instead
-                worst = max(worst, lhs - float(np.min(tilde[row, n:])))
-        elif row < n:
-            # wall trip vs creating the shortfall at any interior cell
-            lhs = tilde[row, col]
-            worst = max(worst, lhs - float(np.min(interior_price[row, :n])))
-            other = n + (1 - (col - n))
-            worst = max(worst, lhs - tilde[row, other])
-    return worst
+    worst = max(0.0, float(np.max(-reroute[n:])))
+    pairs = _supported_arcs(solution, max_pairs)
+    row, col = pairs[:, 0], pairs[:, 1]
+    lhs = cost.price(row, col) + np.append(slope, (0.0, 0.0))[col]
+    return max(worst, float(np.max(lhs - reroute[row], initial=0.0)))
 
 
 def transported_mass_floor(

@@ -192,10 +192,12 @@ def run_minimizing_movement(
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n_cells,):
         raise ValueError(f"rho0 has shape {rho0.shape}, expected ({grid.n_cells},)")
+    if not np.all(np.isfinite(rho0)):
+        raise ValueError("initial density rho0 must be finite in every cell")
     if np.any(rho0 <= 0.0):
         raise ValueError("initial density must be strictly positive in every cell")
-    if tau <= 0.0 or t_final <= 0.0:
-        raise ValueError(f"need positive tau and t_final, got {tau!r}, {t_final!r}")
+    if not (0.0 < tau < math.inf and 0.0 < t_final < math.inf):
+        raise ValueError(f"need positive, finite tau and t_final, got {tau!r}, {t_final!r}")
 
     n_steps = max(1, int(math.ceil(t_final / tau - 1e-12)))
     x = grid.cell_centers

@@ -25,6 +25,7 @@ oracle certifies the fast path on instances with at most 3 interior cells
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,19 +338,19 @@ def brute_force_small(
             f"brute force supports at most 3 interior cells (5 nodes), got {n}"
         )
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n,) or np.any(mu < 0.0):
-        raise ValueError("mu must be a nonnegative vector of interior cell masses")
+    if mu.shape != (n,) or not np.all(np.isfinite(mu)) or np.any(mu < 0.0):
+        raise ValueError("mu must be a finite, nonnegative vector of interior cell masses")
     tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
     transport = _TransportValue(model, grid, tau, mu)
     window = certified_price_window(model, grid, tau)
     if rho is None:
         return _solve_implicit_step(model, grid, tau, mu, transport, window)
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (n,) or np.any(rho < 0.0):
-        raise ValueError("rho must be a nonnegative vector of interior densities")
+    if rho.shape != (n,) or not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
+        raise ValueError("rho must be a finite, nonnegative vector of interior densities")
     return _solve_fixed_target(model, grid, tau, rho, transport, window)
 
 

@@ -35,13 +35,17 @@ masses, from the LP's answer to the packaged step; TransportSolution.gamma
 builds the dense view only when read. Each wall is a reservoir that gives
 or takes any mass, so both walls are one root node with no balance row and
 dual 0. Its reservoir price enters only through the one arc price
-CostMatrix.tilde, on the arcs to and from it, and every dual of the step is
-a price against that table. The support of the LP plan, a spanning forest
-as every basic transportation plan is (Peyre & Cuturi, Computational
-Optimal Transport, 2019, sec. 3.4-3.5), is snapped to machine precision on
-one tree rooted at the walls: a union-find pass over plain lists tests it
-for a cycle, and one breadth-first walk gives the duals top down and the
-arc masses bottom up, in O(|S|) as in network simplex. The duals are then
+CostMatrix.price, on the arcs to and from it, and every dual of the step is
+a price against it. No step tabulates that price: arcs are priced as lists,
+and every minimum over a row or a column, the pricing screen, the
+feasibility repair and the concavity check, is one c-transform, the lower
+envelope of the parabolas the prices shift, built in one stack pass. The
+support of the LP plan, a spanning forest as every basic transportation
+plan is (Peyre & Cuturi, Computational Optimal Transport, 2019, sec.
+3.4-3.5), is snapped to machine precision on one tree rooted at the
+walls: a union-find pass over plain lists tests it for a cycle, and one
+breadth-first walk gives the duals top down and the arc masses bottom up,
+in O(|S|) as in network simplex. The duals are then
 made exactly feasible by a double c-transform, and the verified
 primal-dual gap certifies the step. A candidate whose support cannot carry
 or balance the marginals, or holds a cycle, or whose c-transform had to
@@ -71,7 +75,6 @@ from .model import Model
 __all__ = [
     "CostMatrix",
     "TransportSolution",
-    "PotentialReport",
     "build_cost_matrix",
     "solve_fixed_target",
     "solve_jko_step",
@@ -83,31 +86,97 @@ _EXP_CAP = 700.0
 _MASS_FLOOR_FACTOR = 1e-12
 
 
+# Cells, in position order, on each side of an envelope argmin whose prices
+# are re-read. At an optimum a node is tight against a run of nodes, and the
+# envelope's pick within the run is often not the one whose float price is
+# lowest. Over the 906 solves of tests/battery.py, a window of +/- 2 cells moved
+# a field of at least six solves off the dense minimum's by rounding, +/- 4 of
+# two, and +/- 8 of none.
+_ENVELOPE_WINDOW = 8
+
+
+def _envelope(p: np.ndarray, a: np.ndarray, tau: float, y: np.ndarray) -> np.ndarray:
+    """Index of the lowest parabola (y - p_k)^2 / (2 tau) + a_k at each query y.
+
+    The centres p increase. One stack pass builds the lower envelope in
+    O(len(p)) (Felzenszwalb & Huttenlocher, Distance transforms of sampled
+    functions, Theory of Computing 2012; Lucet, Numer. Algorithms 1997):
+    each parabola pops those it hides from the top of the stack, and the
+    stack keeps where each parabola takes over from the last. The queries
+    are then located among those breakpoints by bisection.
+    """
+    g = (p * p + 2.0 * tau * a).tolist()
+    p = (2.0 * p).tolist()
+    hull, start = [0], [-math.inf]
+    for k in range(1, len(p)):
+        gk, pk = g[k], p[k]
+        s = (gk - g[hull[-1]]) / (pk - p[hull[-1]])
+        while s <= start[-1]:
+            hull.pop()
+            start.pop()
+            s = (gk - g[hull[-1]]) / (pk - p[hull[-1]])
+        hull.append(k)
+        start.append(s)
+    return np.array(hull)[np.searchsorted(start, y) - 1]
+
+
 @dataclass(frozen=True)
 class CostMatrix:
-    """Arc prices on [interior cells..., lower wall, upper wall].
+    """Arc prices on the nodes [interior cells..., lower wall, upper wall].
 
-    tilde is the squared-distance cost |x-y|^2/(2 tau) plus psi(y) - psi(x),
-    where psi is 0 on cells and the reservoir potential on each wall: mass
-    leaving to a wall pays its price, mass entering from one is credited
-    it. This is the one arc price of the step; every dual that reads it
-    puts both walls at 0. The wall-to-wall block is finite, but no plan
-    holds it: the LP never carries those arcs.
+    The price of an arc from node r to node c is the squared-distance cost
+    |x_r - x_c|^2/(2 tau) plus psi_c - psi_r, where psi is 0 on cells and
+    the reservoir potential on each wall: mass leaving to a wall pays its
+    price, mass entering from one is credited it. This is the one arc price
+    of the step, and every dual that reads it puts both walls at 0. It is
+    kept as its n + 2 node positions and potentials, never as a table: price
+    reads a list of arcs, and c_transform takes a minimum over one side. No
+    plan holds a wall-to-wall arc, so no transform reads one.
     """
 
-    tilde: np.ndarray
+    nodes: np.ndarray
+    psi: np.ndarray
+    tau: float
     n_cells: int
+
+    def price(self, r, c) -> np.ndarray:
+        """Price of the arcs (r, c), node indices of any broadcastable shapes."""
+        return (self.nodes[r] - self.nodes[c]) ** 2 / (2.0 * self.tau) + (self.psi[c] - self.psi[r])
+
+    def c_transform(self, prices: np.ndarray, to_rows: bool):
+        """Cheapest arc price less the other side's price, at every node of one side.
+
+        prices are the n interior prices of the columns (to_rows) or of the
+        rows, both walls at 0. At each node k of the other side this is the
+        minimum over the admissible sources s of price(k, s) - prices_s
+        (price(s, k) - prices_s for columns); a wall sees cells only. The
+        minimum over cells is the lower envelope of their parabolas, and each
+        is re-read, with both walls when k is a cell, on the _ENVELOPE_WINDOW
+        cells around the envelope's argmin. Returns the n + 2 values and the
+        arcs (rows, columns) that were read, row k of each for node k.
+        """
+        n = self.n_cells
+        lowest = _envelope(self.nodes[:n], -prices, self.tau, self.nodes)
+        src = np.empty((n + 2, 2 * _ENVELOPE_WINDOW + 3), dtype=np.intp)
+        window = np.arange(-_ENVELOPE_WINDOW, _ENVELOPE_WINDOW + 1)
+        np.minimum(np.maximum(lowest[:, None] + window, 0), n - 1, out=src[:, :-2])
+        # the walls are sources of every cell; a wall's own slots repeat its argmin
+        src[:, -2:] = (n, n + 1)
+        src[n:, -2:] = lowest[n:, None]
+        node = np.arange(n + 2)[:, None]
+        arcs = (node, src) if to_rows else (src, node)
+        values = np.min(self.price(*arcs) - np.append(prices, (0.0, 0.0))[src], axis=1)
+        return values, arcs
 
 
 def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
     tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    nodes = np.concatenate([grid.cell_centers, [grid.x_lo, grid.x_hi]])
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     n = grid.n_cells
-    quad = (nodes[:, None] - nodes[None, :]) ** 2 / (2.0 * tau)
-    psi = np.concatenate([np.zeros(n), [model.psi_lo, model.psi_hi]])
-    return CostMatrix(tilde=quad + (psi[None, :] - psi[:, None]), n_cells=n)
+    return CostMatrix(nodes=np.concatenate([grid.cell_centers, [grid.x_lo, grid.x_hi]]),
+                      psi=np.concatenate([np.zeros(n), [model.psi_lo, model.psi_hi]]),
+                      tau=tau, n_cells=n)
 
 
 @dataclass(frozen=True)
@@ -119,7 +188,7 @@ class TransportSolution:
     interior-then-walls as in CostMatrix. gamma is the dense (n+2) x (n+2)
     view of that plan, built anew on every read and never stored. phi and
     phi_star are the n interior row and column prices against the arc price
-    CostMatrix.tilde, with both walls at price 0. h is the rate at price
+    CostMatrix.price, with both walls at price 0. h is the rate at price
     -phi_star, so phi_star + cost_slope(h) = 0 with no offset. iterations
     counts the breakpoint-refinement rounds of the polish; residuals holds
     named convergence measures. stats counts what the step did: lp_rounds (LP
@@ -158,13 +227,6 @@ class TransportSolution:
     @property
     def mass_floor(self) -> float:
         return _MASS_FLOOR_FACTOR * float(np.sum(self.arcs[2]))
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    optimality_residual: float
-    concavity_gap: float
-    support_slack: float
 
 
 class StepFailure(RuntimeError):
@@ -381,9 +443,9 @@ def _support_forest(n: int, idx_r: np.ndarray, idx_c: np.ndarray) -> _Forest | N
 def _forest_potentials(kern: _Kernel, cost: CostMatrix, forest: _Forest):
     """Duals tight on every arc of the forest, walked down from the root.
 
-    The root's potential is 0, and each node takes tilde_ij minus its
-    parent's through the arc it hangs from: phi_i + ps_j = tilde_ij, where
-    tilde holds the reservoir price on wall arcs. A node on a gauge edge
+    The root's potential is 0, and each node takes the arc's price c_ij
+    minus its parent's through the arc it hangs from: phi_i + ps_j = c_ij,
+    where c holds the reservoir price on wall arcs. A node on a gauge edge
     takes 0, so its component's duals are fixed up to one constant, which
     solves the component's scalar mass balance (total required column mass
     equals total source mass): a monotone equation solved for all such
@@ -392,7 +454,7 @@ def _forest_potentials(kern: _Kernel, cost: CostMatrix, forest: _Forest):
     arc-based pinning oscillate. Returns the row and column potentials.
     """
     n = cost.n_cells
-    w = np.where(forest.arc_r >= 0, cost.tilde[forest.arc_r, forest.arc_c], 0.0)
+    w = np.where(forest.arc_r >= 0, cost.price(forest.arc_r, forest.arc_c), 0.0)
     pot = [0.0] * (2 * n + 1)
     for v, p, wv in zip(forest.node.tolist(), forest.parent.tolist(), w.tolist()):
         pot[v] = wv - pot[p]
@@ -525,25 +587,25 @@ class _JointLP:
     Variables are the shortlisted arcs plus, per column, the segment fills
     of the linearized cost; column balance ties arc inflow to the base mass
     plus the fills. There is one model per step. The first solve builds it
-    on the interior shortlist listed (an n x n mask; _polish passes a band
-    around the diagonal) plus every cell-wall arc, and no wall-to-wall arc.
-    Every later solve changes only the fill costs and widths and the column
-    rows' base masses in place, and HiGHS runs again from the basis it
-    left. After each run the duals price every excluded arc: an arc whose
-    reduced cost tilde_ij - u_i - v_j lies below -tol is appended as a
-    column (and set in listed) and the same model runs again. Once no arc
-    is left, the shortlist optimum is the optimum over all admissible arcs.
-    The shortlist only grows. A segment whose breakpoint masses tie has
-    width 0, so its fill is bounded by 0, costs nothing and adds nothing to
-    the position.
+    on the interior shortlist (rows, cols) (_polish passes a band around the
+    diagonal) plus every cell-wall arc, in row-major order, and no
+    wall-to-wall arc. Every later solve changes only the fill costs and
+    widths and the column rows' base masses in place, and HiGHS runs again
+    from the basis it left. After each run the duals price every excluded
+    arc: an arc whose reduced cost c_ij - u_i - v_j lies below -tol is
+    appended as a column and the same model runs again. Once no arc is
+    left, the shortlist optimum is the optimum over all admissible arcs. The
+    shortlist only grows. A segment whose breakpoint masses tie has width 0,
+    so its fill is bounded by 0, costs nothing and adds nothing to the
+    position.
     """
 
-    def __init__(self, kern: _Kernel, cost: CostMatrix, listed: np.ndarray):
+    def __init__(self, kern: _Kernel, cost: CostMatrix, rows: np.ndarray, cols: np.ndarray):
         self.kern = kern
         self.cost = cost
-        self.listed = listed
+        self.rows, self.cols = rows, cols
         self.highs = None
-        self.rows = self.cols = self.fills = None
+        self.fills = None
 
     def solve(self, breaks: np.ndarray, xi: np.ndarray):
         """Optimum over all admissible arcs for the breakpoints (breaks, xi).
@@ -555,17 +617,18 @@ class _JointLP:
         """
         kern, cost = self.kern, self.cost
         n = cost.n_cells
+        cells = np.arange(n)
         # a segment of masses tied by rounding holds no fill and costs nothing
         widths = np.maximum(np.diff(breaks, axis=1), 0.0)
         flat = widths == 0.0
         slopes = np.divide(np.diff(xi, axis=1), widths, out=np.zeros_like(widths), where=~flat)
         tol = _tight_tol(kern)
         if self.highs is None:
-            mask = np.zeros((n + 2, n + 2), dtype=bool)
-            mask[:n, :n] = self.listed
-            mask[:n, n:] = mask[n:, :n] = True
-            self.rows, self.cols = np.nonzero(mask)
-            c_vec = np.concatenate([cost.tilde[self.rows, self.cols], slopes.reshape(-1)])
+            rows = np.concatenate([self.rows, np.repeat(cells, 2), np.repeat([n, n + 1], n)])
+            cols = np.concatenate([self.cols, np.tile([n, n + 1], n), np.tile(cells, 2)])
+            order = np.lexsort((cols, rows))
+            self.rows, self.cols = rows[order], cols[order]
+            c_vec = np.concatenate([cost.price(self.rows, self.cols), slopes.reshape(-1)])
             self.highs = _highs_model(self.rows, self.cols, c_vec,
                                       np.concatenate([kern.mu, breaks[:, 0]]), widths)
             self.fills = np.arange(len(self.rows), len(self.rows) + widths.size, dtype=np.int32)
@@ -581,16 +644,24 @@ class _JointLP:
             iterations += its
             # walls carry no balance row, so their dual is zero; every cell-wall
             # arc is always in the model, and no wall-to-wall arc ever is, so
-            # only cell-to-cell arcs are priced
+            # only cell-to-cell arcs are priced. A row whose cheapest reduced
+            # cost, its c-transform less u, stays above -tol/2 holds no arc below
+            # -tol (the margin is far above the rounding of either expression),
+            # so only the other rows are priced arc by arc.
             u = duals[:n]
             v = duals[n:]
-            entering = ~self.listed & (cost.tilde[:n, :n] - u[:, None] - v[None, :] < -tol)
+            flagged = np.flatnonzero(cost.c_transform(v, to_rows=True)[0][:n] - u < -0.5 * tol)
+            if not len(flagged):
+                break
+            r, c = np.repeat(flagged, n), np.tile(cells, len(flagged))
+            # sorting the keys, where a lookup table would span all (n+2)^2 of them
+            entering = ((cost.price(r, c) - u[r] - v[c] < -tol)
+                        & ~np.isin(r * (n + 2) + c, self.rows * (n + 2) + self.cols, kind="sort"))
             if not np.any(entering):
                 break
-            r, c = np.nonzero(entering)
-            self.listed[r, c] = True
+            r, c = r[entering], c[entering]
             start, index = _arc_entries(n, r, c)
-            self.highs.addCols(len(r), cost.tilde[r, c], np.zeros(len(r)), np.full(len(r), np.inf),
+            self.highs.addCols(len(r), cost.price(r, c), np.zeros(len(r)), np.full(len(r), np.inf),
                                len(index), start[:-1], index, np.ones(len(index)))
             self.rows = np.r_[self.rows, r]
             self.cols = np.r_[self.cols, c]
@@ -723,11 +794,15 @@ def _polish(kern: _Kernel, cost: CostMatrix, phi_star: np.ndarray):
     settled inside its windows, so no candidate was assembled.
     """
     n = cost.n_cells
+    # the first shortlist, row by row: the interior arcs near the diagonal (the
+    # model adds every cell-wall arc)
+    half = min(_band_cells(kern.tau, kern.dx), n)
     cells = np.arange(n)
-    # the first shortlist: interior arcs near the diagonal (the model adds
-    # every cell-wall arc)
-    lp = _JointLP(kern, cost,
-                  np.abs(cells[:, None] - cells[None, :]) <= _band_cells(kern.tau, kern.dx))
+    lo = np.maximum(cells - half, 0)
+    width = np.minimum(cells + half + 1, n) - lo
+    rows = np.repeat(cells, width)
+    lp = _JointLP(kern, cost, rows,
+                  np.arange(len(rows)) - np.repeat(np.cumsum(width) - width - lo, width))
     stats = {"lp_rounds": 0, "lp_arcs": 0, "pricing_rounds": 0, "rejected_candidates": 0,
              "prune_passes": 0, "simplex_iterations": 0}
 
@@ -813,9 +888,9 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     stats. A support that cannot carry the marginals, or holds a cycle,
     raises StepFailure(reduced_residual); one whose balance gauge has no
     root raises StepFailure(price_root). Potentials are made exactly
-    feasible by a double c-transform over tilde, the walls at price 0, and
-    the verified primal-dual gap certifies the candidate: at a true optimum
-    it vanishes to rounding. h and rho are priced before the repair, so the
+    feasible by a double c-transform (CostMatrix.c_transform), the walls at
+    price 0, and the verified primal-dual gap certifies the candidate: at a
+    true optimum it vanishes to rounding. h and rho are priced before the repair, so the
     candidate records the largest fall of a column price in it: where that
     is above rounding, the packaged phi_star and h disagree.
     """
@@ -824,7 +899,6 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     dx = kern.dx
     tau = kern.tau
     n = cost.n_cells
-    tilde = cost.tilde
     mass_scale = max(kern.total_mass, 1e-300)
 
     r, c, mass = arcs
@@ -836,18 +910,18 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     r, c, mass = plan
     h = model.rate_at_price(-ps_out, x)
     rho = kern.rho_at(ps_out)
-    primal = float(mass @ tilde[r, c]) + tau * dx * float(np.sum(model.cost(h, x)))
+    primal = float(mass @ cost.price(r, c)) + tau * dx * float(np.sum(model.cost(h, x)))
     value = primal
     if kern.jko:
         value += dx * float(np.sum(model.free_energy.density(rho, x)))
 
-    # feasibility repair: exact double c-transform over tilde with the walls
-    # at price 0, lowering only entries that violate a constraint and
-    # leaving tight arcs untouched
-    repaired = np.minimum(ps_out, np.min(tilde[:, :n] - np.r_[phi_out, 0.0, 0.0][:, None], axis=0))
+    # feasibility repair: exact double c-transform with the walls at price 0,
+    # lowering only entries that violate a constraint and leaving tight arcs
+    # untouched
+    repaired = np.minimum(ps_out, cost.c_transform(phi_out, to_rows=False)[0][:n])
     repair = float(np.max(ps_out - repaired, initial=0.0))
     ps_out = repaired
-    phi_out = np.min(tilde[:n] - np.r_[ps_out, 0.0, 0.0][None, :], axis=1)
+    phi_out = cost.c_transform(ps_out, to_rows=True)[0][:n]
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
     return _Candidate(plan, h, rho, phi_out, ps_out, primal, value, abs(gap), repair)
@@ -862,6 +936,8 @@ def _as_mass(mu, grid: Grid) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (grid.n_cells,):
         raise ValueError(f"expected {grid.n_cells} cell masses, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("cell masses mu must be finite")
     if np.any(mu < 0.0):
         raise ValueError("cell masses must be nonnegative")
     return mu
@@ -881,15 +957,12 @@ def _solve(kern: _Kernel, init_phi_star) -> TransportSolution:
         if phi_star.shape != (n,):
             raise ValueError(f"init_phi_star must hold {n} interior prices, "
                              f"got shape {phi_star.shape}")
+        if not np.all(np.isfinite(phi_star)):
+            raise ValueError("init_phi_star must be finite")
     cand, rounds, stats = _polish(kern, cost, phi_star)
-    report = extract_potentials(cost, model, kern.grid, cand.arcs, cand.h, cand.phi,
-                                cand.phi_star)
-    residuals = {
-        "polish_gap": cand.gap,
-        "kkt_kappa": report.optimality_residual,
-        "concavity_gap": report.concavity_gap,
-        "support_slack": report.support_slack,
-    }
+    residuals = {"polish_gap": cand.gap,
+                 **extract_potentials(cost, model, kern.grid, cand.arcs, cand.h, cand.phi,
+                                      cand.phi_star)}
     return TransportSolution(
         arcs=cand.arcs,
         h=cand.h,
@@ -926,8 +999,9 @@ def solve_fixed_target(
     """
     mu_arr = _as_mass(mu, grid)
     rho_arr = np.asarray(rho, dtype=float)
-    if rho_arr.shape != (grid.n_cells,) or np.any(rho_arr < 0.0):
-        raise ValueError("rho must be a nonnegative density vector on the cells")
+    if (rho_arr.shape != (grid.n_cells,) or not np.all(np.isfinite(rho_arr))
+            or np.any(rho_arr < 0.0)):
+        raise ValueError("rho must be a finite, nonnegative density vector on the cells")
     return _solve(_Kernel(model, grid, tau, mu_arr, rho_arr), init_phi_star)
 
 
@@ -959,32 +1033,28 @@ def extract_potentials(
     h: np.ndarray,
     phi: np.ndarray,
     phi_star: np.ndarray,
-) -> PotentialReport:
-    """Dual-structure report: price residual, feasibility and slack.
+) -> dict[str, float]:
+    """Dual-structure residuals: price identity, feasibility and slack.
 
-    phi and phi_star are the interior prices against CostMatrix.tilde, both
-    walls at price 0. The optimality residual is the worst |phi* +
-    cost_slope(h)| over interior cells: h is the rate at price -phi*, so
-    the price identity holds with no offset and this measures its rounding.
-    The concavity gap is the positive part of phi + phi* - tilde over
-    admissible pairs, and the support slack the worst complementary-slackness
-    violation on the plan's arcs (rows, columns, masses) above the mass
-    floor; the plan holds no wall-to-wall arc.
+    phi and phi_star are the interior prices against CostMatrix.price, both
+    walls at price 0. kkt_kappa is the worst |phi* + cost_slope(h)| over
+    interior cells: h is the rate at price -phi*, so the price identity
+    holds with no offset and this measures its rounding. concavity_gap is
+    the positive part of phi + phi* - price over admissible pairs, read on
+    each row's c-transform window, and support_slack the worst
+    complementary-slackness violation on the plan's arcs (rows, columns,
+    masses) above the mass floor; the plan holds no wall-to-wall arc.
     """
-    n = cost.n_cells
-    x = grid.cell_centers
-    prices = model.cost_slope(h, x)
-    optimality_residual = float(np.max(np.abs(phi_star + prices))) if n else 0.0
+    kkt_kappa = float(np.max(np.abs(phi_star + model.cost_slope(h, grid.cell_centers))))
+    row_price = np.append(phi, (0.0, 0.0))
+    col_price = np.append(phi_star, (0.0, 0.0))
 
-    total = np.r_[phi, 0.0, 0.0][:, None] + np.r_[phi_star, 0.0, 0.0][None, :] - cost.tilde
-    total[n:, n:] = -np.inf    # no plan holds a wall-to-wall arc
-    concavity_gap = float(np.max(np.maximum(total, 0.0)))
+    _, (r, c) = cost.c_transform(phi_star, to_rows=True)
+    concavity_gap = float(np.max(np.maximum(row_price[r] + col_price[c] - cost.price(r, c), 0.0)))
 
     r, c, mass = arcs
     keep = mass > _MASS_FLOOR_FACTOR * max(float(np.sum(mass)), 1e-300)
-    support_slack = float(np.max(-total[r[keep], c[keep]])) if np.any(keep) else 0.0
-    return PotentialReport(
-        optimality_residual=optimality_residual,
-        concavity_gap=concavity_gap,
-        support_slack=max(support_slack, 0.0),
-    )
+    r, c = r[keep], c[keep]
+    slack = float(np.max(-(row_price[r] + col_price[c] - cost.price(r, c)))) if len(r) else 0.0
+    return {"kkt_kappa": kkt_kappa, "concavity_gap": concavity_gap,
+            "support_slack": max(slack, 0.0)}

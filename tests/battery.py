@@ -22,8 +22,10 @@ field of the solution, or the StepFailure it raised. --compare prints, per
 field, how many solves are bit-identical, the largest relative difference,
 the failures on each side and the worst kkt_kappa; per stats key, each
 side's total over the solves both sides ran ("-" where a side lacks the
-key) and how many solves differ. A dump is a pickle: compare only dumps
-this script wrote. pytest does not collect this file; tests/test_battery.py
+key) and how many solves differ. It exits 1, naming them, when B raises on
+a solve that A certified or returns converged=False there, and 0
+otherwise, so "no certified solve lost" is the exit status, not a reading
+of the table. A dump is a pickle: compare only dumps this script wrote. pytest does not collect this file; tests/test_battery.py
 runs a third of the instances.
 """
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _rel(a, b) -> float:
     return float(np.max(rel))
 
 
-def compare(path_a: str, path_b: str) -> None:
+def compare(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
     with open(path_b, "rb") as fh:
@@ -218,6 +220,11 @@ def compare(path_a: str, path_b: str) -> None:
         if kkt:
             val, key = max(kkt)
             print(f"worst kkt_kappa in {side}: {val:.3e} ({key})")
+    lost = [key for key in labels if "failure" not in a[key] and a[key]["converged"]
+            and ("failure" in b[key] or not b[key]["converged"])]
+    print(f"certified in A, failed or unconverged in B: {len(lost)}"
+          + (": " + ", ".join(lost) if lost else ""))
+    return 1 if lost else 0
 
 
 def main(argv=None) -> int:
@@ -228,9 +235,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dump:
         dump(args.dump)
-    else:
-        compare(*args.compare)
-    return 0
+        return 0
+    return compare(*args.compare)
 
 
 if __name__ == "__main__":

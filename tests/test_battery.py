@@ -6,10 +6,12 @@ one law of each consecutive three in turn, so every law meets fixed-target,
 cold and warm steps. Every certified solve also holds the price identity
 phi_star + cost_slope(h) = 0 to rounding (kkt_kappa).
 """
+import pickle
+
 import numpy as np
 import pytest
 
-from battery import draw, solves
+from battery import compare, draw, solves
 from resflow import StepFailure, build_grid
 
 
@@ -51,3 +53,21 @@ def test_warm_step_keeps_the_price_identity(index):
         assert not isinstance(sol, StepFailure), f"{label}: {sol}"
         assert sol.converged and sol.residuals["polish_gap"] <= 1e-8
         assert sol.residuals["kkt_kappa"] <= 1e-12
+
+
+def test_compare_exits_1_when_a_certified_solve_is_lost(tmp_path, capsys):
+    """--compare fails on a solve A certified that B raised on or left unconverged."""
+    def rec(converged=True):
+        return {"converged": converged, "h": np.zeros(2), "residuals.kkt_kappa": 0.0,
+                "stats": {"lp_rounds": 1}}
+
+    a = {"s1": rec(), "s2": rec(), "s3": rec(), "s4": rec(False)}
+    paths = []
+    for name, recs in (("a", a), ("same", a),
+                       ("lost", {**a, "s2": {"failure": ("price_root", 1.0, "x")},
+                                 "s3": rec(False)})):
+        paths.append(tmp_path / f"{name}.pkl")
+        paths[-1].write_bytes(pickle.dumps(recs))
+    assert compare(paths[0], paths[1]) == 0
+    assert compare(paths[0], paths[2]) == 1
+    assert "failed or unconverged in B: 2: s2, s3" in capsys.readouterr().out

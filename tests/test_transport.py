@@ -14,6 +14,7 @@ from resflow.flow import run_minimizing_movement
 
 from resflow import (
     StepFailure,
+    brute_force_small,
     build_cost_matrix,
     build_grid,
     build_model,
@@ -23,17 +24,79 @@ from resflow import (
 )
 
 
+def _all_arcs(n):
+    """Every (row, column) pair on the n + 2 nodes, as two (n+2) x (n+2) index arrays."""
+    return np.meshgrid(np.arange(n + 2), np.arange(n + 2), indexing="ij")
+
+
 def test_cost_matrix_structure(unit_model, grid8):
     cost = build_cost_matrix(unit_model, grid8, tau=0.1)
     n = grid8.n_cells
     assert cost.n_cells == n
-    assert cost.tilde.shape == (n + 2, n + 2)
-    cells = cost.tilde[:n, :n]
+    prices = cost.price(*_all_arcs(n))
+    assert prices.shape == (n + 2, n + 2)
+    cells = prices[:n, :n]
     assert np.array_equal(cells, cells.T)
     assert np.all(np.diag(cells) == 0.0)
-    assert np.all(np.isfinite(cost.tilde))
+    assert np.all(np.isfinite(prices))
     with pytest.raises(ValueError):
         build_cost_matrix(unit_model, grid8, tau=0.0)
+
+
+def test_cost_matrix_keeps_only_its_nodes(drifty_model):
+    """A CostMatrix holds the n + 2 node positions and potentials, never a table."""
+    for n in (1, 8, 64):
+        cost = build_cost_matrix(drifty_model, build_grid(0.0, 1.0, n), 0.1)
+        arrays = list(_stored_arrays(cost))
+        assert arrays and max(a.size for a in arrays) <= n + 2
+
+
+def _dense_c_transform(cost, prices, to_rows):
+    """Reference: the minimum over every admissible source, walls at price 0."""
+    n = cost.n_cells
+    table = cost.price(*_all_arcs(n))
+    if not to_rows:
+        table = table.T    # table[k, s] is the price of the arc from s to k
+    table = table - np.append(prices, (0.0, 0.0))[None, :]
+    table[n:, n:] = np.inf    # no wall-to-wall arc
+    return np.min(table, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_c_transform_matches_a_dense_scan(n, seed):
+    """The envelope's transform equals the dense minimum bit for bit, walls included.
+
+    Some draws plant exact ties: equal prices on every cell, prices copied to
+    a neighbour, or prices that make each node tight against a run of cells
+    (the shape of an optimum's duals).
+    """
+    rng = np.random.default_rng(seed)
+    model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
+                        drift=(0.0, rng.uniform(-1.0, 1.0)),
+                        boundary_density=tuple(rng.uniform(0.4, 1.5, 2)))
+    tau = float(np.exp(rng.uniform(np.log(0.005), 0.0)))
+    cost = build_cost_matrix(model, build_grid(0.0, 1.0, n), tau)
+    x = cost.nodes[:n]
+    scale = 1.0 / (2.0 * tau)
+    if seed % 3 == 0:
+        prices = np.full(n, rng.uniform(-1.0, 1.0) * scale)
+    elif seed % 3 == 1:
+        prices = rng.uniform(-1.0, 1.0, n) * scale
+        prices[1::2] = prices[0:n - 1:2]    # each even cell's price copied to its right
+    else:
+        # phi(y) = min over a coarse set of centres of (x - y)^2 / (2 tau) - a: each
+        # column is tight against every row of its centre's run
+        centres = np.sort(rng.uniform(0.0, 1.0, max(1, n // 6)))
+        offsets = rng.uniform(-0.1, 0.1, len(centres)) * scale
+        prices = np.min((x[:, None] - centres[None, :]) ** 2 * scale - offsets[None, :], axis=1)
+    for to_rows in (True, False):
+        values, (r, c) = cost.c_transform(prices, to_rows=to_rows)
+        assert np.array_equal(values, _dense_c_transform(cost, prices, to_rows))
+        query, source = (r, c) if to_rows else (c, r)
+        assert np.all(np.broadcast_to(query, source.shape) == np.arange(n + 2)[:, None])
+        assert np.all(source[n:] < n)    # a wall reads cells only
+        assert np.all((source[:n] == n).any(axis=1) & (source[:n] == n + 1).any(axis=1))
 
 
 def test_wall_arcs_price_the_reservoir(drifty_model, grid8):
@@ -43,15 +106,48 @@ def test_wall_arcs_price_the_reservoir(drifty_model, grid8):
     n = grid8.n_cells
     psi_lo, psi_hi = drifty_model.psi_lo, drifty_model.psi_hi
     quad = (grid8.x_hi - grid8.cell_centers[0]) ** 2 / (2.0 * tau)
-    assert cost.tilde[0, n + 1] == pytest.approx(quad + psi_hi)
-    assert cost.tilde[n + 1, 0] == pytest.approx(quad - psi_hi)
+    assert cost.price(0, n + 1) == pytest.approx(quad + psi_hi)
+    assert cost.price(n + 1, 0) == pytest.approx(quad - psi_hi)
     quad = (grid8.cell_centers[0] - grid8.x_lo) ** 2 / (2.0 * tau)
-    assert cost.tilde[0, n] == pytest.approx(quad + psi_lo)
-    assert cost.tilde[n, 0] == pytest.approx(quad - psi_lo)
+    assert cost.price(0, n) == pytest.approx(quad + psi_lo)
+    assert cost.price(n, 0) == pytest.approx(quad - psi_lo)
     # wall to wall: the quadratic cost plus the difference of both prices
     wall = grid8.length ** 2 / (2.0 * tau)
-    assert cost.tilde[n, n + 1] == pytest.approx(wall + psi_hi - psi_lo)
-    assert cost.tilde[n + 1, n] == pytest.approx(wall + psi_lo - psi_hi)
+    assert cost.price(n, n + 1) == pytest.approx(wall + psi_hi - psi_lo)
+    assert cost.price(n + 1, n) == pytest.approx(wall + psi_lo - psi_hi)
+
+
+def _nan_at(values, k=1):
+    out = np.array(values, dtype=float)
+    out[k] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda m, g, mu: solve_jko_step(m, g, 0.1, _nan_at(mu)), "mu"),
+    (lambda m, g, mu: solve_fixed_target(m, g, 0.1, mu, _nan_at(np.ones(4))), "rho"),
+    (lambda m, g, mu: solve_jko_step(m, g, 0.1, mu, init_phi_star=_nan_at(np.zeros(4))),
+     "init_phi_star"),
+    (lambda m, g, mu: build_cost_matrix(m, g, np.inf), "tau"),
+    (lambda m, g, mu: build_cost_matrix(m, g, np.nan), "tau"),
+    (lambda m, g, mu: run_minimizing_movement(m, g, _nan_at(np.ones(4)), 0.1, 0.2), "rho0"),
+    (lambda m, g, mu: run_minimizing_movement(m, g, np.ones(4), np.nan, 0.2), "tau"),
+    (lambda m, g, mu: run_minimizing_movement(m, g, np.ones(4), 0.1, np.inf), "t_final"),
+    (lambda m, g, mu: brute_force_small(m, build_grid(0.0, 1.0, 2), 0.1, _nan_at(mu[:2])), "mu"),
+    (lambda m, g, mu: brute_force_small(m, build_grid(0.0, 1.0, 2), 0.1, mu[:2] * 2.0,
+                                        rho=_nan_at(np.ones(2))), "rho"),
+    (lambda m, g, mu: brute_force_small(m, build_grid(0.0, 1.0, 2), np.nan, mu[:2] * 2.0),
+     "tau"),
+], ids=["jko-mu", "fixed-rho", "jko-init_phi_star", "cost-tau-inf", "cost-tau-nan",
+        "movement-rho0", "movement-tau", "movement-t_final", "oracle-mu", "oracle-rho",
+        "oracle-tau"])
+def test_non_finite_inputs_are_input_errors(call, name):
+    """A nan or inf input is refused as a ValueError naming it, before any solve runs."""
+    model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
+                        drift=(0.0, 0.3), boundary_density=(1.0, 0.8))
+    grid = build_grid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match=name):
+        call(model, grid, np.full(4, grid.cell_width))
 
 
 def test_stationary_step_is_exact_fixed_point(unit_model, grid16):
@@ -280,6 +376,61 @@ def test_pricing_recovers_arcs_the_shortlist_misses(monkeypatch):
     assert narrow.residuals["polish_gap"] <= 1e-8
     assert narrow.objective == pytest.approx(full.objective, abs=1e-12)
     assert np.max(np.abs(narrow.h - full.h)) <= 1e-12
+
+
+def test_pricing_adds_the_arcs_a_dense_scan_finds(monkeypatch):
+    """Each pricing pass adds exactly the arcs, in row-major order, a dense scan would.
+
+    On the band-0 step the screen flags rows by their c-transform, and only
+    those are priced arc by arc; the reference scans every interior arc
+    outside the model with the same duals and tolerance.
+    """
+    events = []
+    real_model, real_run, real_entries = (transport._highs_model, transport._highs_run,
+                                          transport._arc_entries)
+
+    def model(idx_r, idx_c, *args):
+        events.append(("model", idx_r, idx_c))
+        return real_model(idx_r, idx_c, *args)
+
+    def run(highs, tol):
+        answer = real_run(highs, tol)
+        events.append(("run", answer[1], tol))
+        return answer
+
+    def entries(n, idx_r, idx_c):
+        if events[-1][0] == "run":    # called by pricing, not by the model build
+            events.append(("add", idx_r, idx_c))
+        return real_entries(n, idx_r, idx_c)
+
+    monkeypatch.setattr(transport, "_band_cells", lambda tau, dx: 0)
+    monkeypatch.setattr(transport, "_highs_model", model)
+    monkeypatch.setattr(transport, "_highs_run", run)
+    monkeypatch.setattr(transport, "_arc_entries", entries)
+    model_, grid, mu = _drifty_step_64()
+    sol = solve_jko_step(model_, grid, 0.05, mu)
+    assert sol.converged
+    n = grid.n_cells
+    cost = build_cost_matrix(model_, grid, 0.05)
+    rows, cols = _all_arcs(n)
+    interior = cost.price(rows, cols)[:n, :n]
+    in_model = np.zeros((n + 2, n + 2), dtype=bool)
+    added = 0
+    for k, event in enumerate(events):
+        if event[0] == "model":
+            in_model[event[1], event[2]] = True
+        elif event[0] == "run":
+            duals, tol = event[1], event[2]
+            u, v = duals[:n], duals[n:]
+            dense = ~in_model[:n, :n] & (interior - u[:, None] - v[None, :] < -tol)
+            nxt = events[k + 1] if k + 1 < len(events) else ("end",)
+            if nxt[0] == "add":
+                assert np.array_equal(np.stack(np.nonzero(dense)), np.stack(nxt[1:]))
+                in_model[nxt[1], nxt[2]] = True
+                added += 1
+            else:
+                assert not dense.any()
+    assert added == sol.stats["pricing_rounds"] > 0
 
 
 def test_joint_lp_stays_sparse(monkeypatch):
@@ -838,18 +989,18 @@ def test_zero_width_segments_hold_no_fill(unit_model, grid8):
     seed = -unit_model.cost_slope(np.zeros(n), grid8.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 11)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    listed = np.ones((n, n), dtype=bool)
-    _, pos, _, _ = transport._JointLP(kern, cost, listed.copy()).solve(breaks, xi)
+    every = np.divmod(np.arange(n * n), n)    # every interior arc, row-major
+    _, pos, _, _ = transport._JointLP(kern, cost, *every).solve(breaks, xi)
     # two more breakpoints at the first mass, each cheaper than the last
     tied_breaks = np.concatenate([breaks[:, :1], breaks[:, :1], breaks], axis=1)
     tied_xi = np.concatenate([xi[:, :1] + 2.0, xi[:, :1] + 1.0, xi], axis=1)
-    _, tied_pos, _, _ = transport._JointLP(kern, cost, listed.copy()).solve(tied_breaks, tied_xi)
+    _, tied_pos, _, _ = transport._JointLP(kern, cost, *every).solve(tied_breaks, tied_xi)
     assert np.all(np.isfinite(tied_pos))
     assert np.allclose(tied_pos, pos, atol=1e-9)
 
 
 def test_negative_wall_to_wall_price_stays_out_of_the_plan():
-    """The wall-to-wall block of tilde is finite, here negative, yet never carries mass.
+    """The wall-to-wall arc price is finite, here negative, yet never carries mass.
 
     Walls 0.4/1.5 with drift slope 0.3 and tau 1 price the upper-to-lower
     wall arc below 0. Both walls are the root, with no balance row, so a
@@ -863,14 +1014,14 @@ def test_negative_wall_to_wall_price_stays_out_of_the_plan():
     n = grid.n_cells
     tau = 1.0
     cost = build_cost_matrix(model, grid, tau)
-    assert cost.tilde[n + 1, n] < -1.0
+    assert cost.price(n + 1, n) < -1.0
 
     mu = rho0 * grid.cell_width
     kern = transport._Kernel(model, grid, tau, mu, None)
     seed = -model.cost_slope(np.zeros(n), grid.cell_centers)
     prices = seed[:, None] + 1.0 - np.linspace(0.0, 2.0, 13)[None, :]
     breaks, xi = transport._xi_table(kern, prices)
-    lp = transport._JointLP(kern, cost, np.eye(n, dtype=bool))
+    lp = transport._JointLP(kern, cost, np.arange(n), np.arange(n))
     (r, c, _), _, _, _ = lp.solve(breaks, xi)
     assert not np.any((r >= n) & (c >= n))
     # the model's columns: no wall-to-wall arc, every cell-wall arc
@@ -902,8 +1053,8 @@ def _readers(module, attrs):
 def test_reservoir_price_is_read_once():
     """The reservoir price enters transport only through build_cost_matrix.
 
-    Everything else, the diagnostics included, reads the arc price tilde
-    with both walls at price 0.
+    Everything else, the diagnostics included, reads the arc price
+    CostMatrix.price with both walls at price 0.
     """
     psi = {"psi_lo", "psi_hi"}
     assert _readers(transport, psi) == {"build_cost_matrix"}
@@ -911,18 +1062,17 @@ def test_reservoir_price_is_read_once():
 
 
 def test_plan_is_scanned_once_per_lp():
-    """Inside the step a plan is a list of arcs; only the LP scans a dense array.
+    """Inside the step a plan is a list of arcs, and nothing scans a dense array.
 
-    _JointLP lists the arcs of its shortlist mask and of its entering
-    arcs; everything after it, the support forest, the prune passes and the
-    packaged step, reads the arcs it returned. No admissible-arc mask is
-    built.
+    _polish hands _JointLP its shortlist as arcs, pricing lists the
+    entering arcs of the rows the c-transform flags, and everything after
+    the LP, the support forest, the prune passes and the packaged step,
+    reads the arcs it returned. No admissible-arc mask is built.
     """
-    assert _readers(transport, {"nonzero"}) == {"_JointLP"}
     assert not hasattr(transport, "_admissible")
     # a packaged step is read through its arcs; its dense view is for callers
     for module in (transport, diagnostics, flow, cli):
-        assert not _readers(module, {"nonzero", "gamma"}) - {"_JointLP"}, module.__name__
+        assert not _readers(module, {"nonzero", "gamma"}), module.__name__
 
 
 def _stored_arrays(value):
