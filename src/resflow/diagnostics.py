@@ -83,7 +83,7 @@ def perturbation_inequalities(
     n = grid.n_cells
     cost = build_cost_matrix(model, grid, tau)
     slope = model.cost_slope(solution.h, grid.cell_centers)
-    reroute, _ = cost.c_transform(-slope, to_rows=True)
+    reroute = cost.c_transform(-slope, to_rows=True)
 
     # wall source vs interior creation, no support requirement
     worst = max(0.0, float(np.max(-reroute[n:])))

@@ -160,8 +160,8 @@ def _advance(
 
 def step_count(t_final: float, dt: float) -> int:
     """Steps of size dt that reach t_final; ValueError unless dt divides it."""
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError(f"need positive dt and t_final, got {dt!r}, {t_final!r}")
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
+        raise ValueError(f"need positive, finite dt and t_final, got {dt!r}, {t_final!r}")
     n_steps = int(round(t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"dt={dt!r} does not divide t_final={t_final!r}")

@@ -38,8 +38,8 @@ dual 0. Its reservoir price enters only through the one arc price
 CostMatrix.price, on the arcs to and from it, and every dual of the step is
 a price against it. No step tabulates that price: arcs are priced as lists,
 and every minimum over a row or a column, the pricing screen, the
-feasibility repair and the concavity check, is one c-transform, the lower
-envelope of the parabolas the prices shift, built in one stack pass. The
+feasibility repair and the concavity check, is one c-transform, an exact
+scan of the prices in blocks of whole rows, never the whole table. The
 support of the LP plan, a spanning forest as every basic transportation
 plan is (Peyre & Cuturi, Computational Optimal Transport, 2019, sec.
 3.4-3.5), is snapped to machine precision on one tree rooted at the
@@ -86,38 +86,10 @@ _EXP_CAP = 700.0
 _MASS_FLOOR_FACTOR = 1e-12
 
 
-# Cells, in position order, on each side of an envelope argmin whose prices
-# are re-read. At an optimum a node is tight against a run of nodes, and the
-# envelope's pick within the run is often not the one whose float price is
-# lowest. Over the 906 solves of tests/battery.py, a window of +/- 2 cells moved
-# a field of at least six solves off the dense minimum's by rounding, +/- 4 of
-# two, and +/- 8 of none.
-_ENVELOPE_WINDOW = 8
-
-
-def _envelope(p: np.ndarray, a: np.ndarray, tau: float, y: np.ndarray) -> np.ndarray:
-    """Index of the lowest parabola (y - p_k)^2 / (2 tau) + a_k at each query y.
-
-    The centres p increase. One stack pass builds the lower envelope in
-    O(len(p)) (Felzenszwalb & Huttenlocher, Distance transforms of sampled
-    functions, Theory of Computing 2012; Lucet, Numer. Algorithms 1997):
-    each parabola pops those it hides from the top of the stack, and the
-    stack keeps where each parabola takes over from the last. The queries
-    are then located among those breakpoints by bisection.
-    """
-    g = (p * p + 2.0 * tau * a).tolist()
-    p = (2.0 * p).tolist()
-    hull, start = [0], [-math.inf]
-    for k in range(1, len(p)):
-        gk, pk = g[k], p[k]
-        s = (gk - g[hull[-1]]) / (pk - p[hull[-1]])
-        while s <= start[-1]:
-            hull.pop()
-            start.pop()
-            s = (gk - g[hull[-1]]) / (pk - p[hull[-1]])
-        hull.append(k)
-        start.append(s)
-    return np.array(hull)[np.searchsorted(start, y) - 1]
+# Price entries one block of a c-transform scan holds. A block is whole rows,
+# so grids up to 254 cells are scanned in one block and no scan holds the
+# (n+2)^2 table.
+_SCAN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,8 +102,9 @@ class CostMatrix:
     price, mass entering from one is credited it. This is the one arc price
     of the step, and every dual that reads it puts both walls at 0. It is
     kept as its n + 2 node positions and potentials, never as a table: price
-    reads a list of arcs, and c_transform takes a minimum over one side. No
-    plan holds a wall-to-wall arc, so no transform reads one.
+    reads a list of arcs, and c_transform takes a minimum over one side,
+    scanning the prices in blocks of whole rows. No plan holds a
+    wall-to-wall arc, so no scan reads one.
     """
 
     nodes: np.ndarray
@@ -143,30 +116,36 @@ class CostMatrix:
         """Price of the arcs (r, c), node indices of any broadcastable shapes."""
         return (self.nodes[r] - self.nodes[c]) ** 2 / (2.0 * self.tau) + (self.psi[c] - self.psi[r])
 
-    def c_transform(self, prices: np.ndarray, to_rows: bool):
+    def _blocks(self, to_rows: bool):
+        """The price table, (k, s, price) per block of whole rows.
+
+        k is a column of consecutive nodes of one side (rows when to_rows),
+        s every node of the other side, and price[i, j] the price of the arc
+        from k[i] to s[j] (from s[j] to k[i] for columns), inf from wall to
+        wall. A block holds at most _SCAN_ENTRIES entries, or one row.
+        """
+        n = self.n_cells
+        s = np.arange(n + 2)
+        rows = max(1, _SCAN_ENTRIES // (n + 2))
+        for start in range(0, n + 2, rows):
+            k = s[start:start + rows, None]
+            price = self.price(k, s) if to_rows else self.price(s, k)
+            price[k[:, 0] >= n, n:] = np.inf    # no wall-to-wall arc
+            yield k, s, price
+
+    def c_transform(self, prices: np.ndarray, to_rows: bool) -> np.ndarray:
         """Cheapest arc price less the other side's price, at every node of one side.
 
         prices are the n interior prices of the columns (to_rows) or of the
         rows, both walls at 0. At each node k of the other side this is the
         minimum over the admissible sources s of price(k, s) - prices_s
-        (price(s, k) - prices_s for columns); a wall sees cells only. The
-        minimum over cells is the lower envelope of their parabolas, and each
-        is re-read, with both walls when k is a cell, on the _ENVELOPE_WINDOW
-        cells around the envelope's argmin. Returns the n + 2 values and the
-        arcs (rows, columns) that were read, row k of each for node k.
+        (price(s, k) - prices_s for columns); a wall sees cells only. It is
+        an exact scan of the prices, one block of _blocks at a time. Returns
+        the n + 2 values.
         """
-        n = self.n_cells
-        lowest = _envelope(self.nodes[:n], -prices, self.tau, self.nodes)
-        src = np.empty((n + 2, 2 * _ENVELOPE_WINDOW + 3), dtype=np.intp)
-        window = np.arange(-_ENVELOPE_WINDOW, _ENVELOPE_WINDOW + 1)
-        np.minimum(np.maximum(lowest[:, None] + window, 0), n - 1, out=src[:, :-2])
-        # the walls are sources of every cell; a wall's own slots repeat its argmin
-        src[:, -2:] = (n, n + 1)
-        src[n:, -2:] = lowest[n:, None]
-        node = np.arange(n + 2)[:, None]
-        arcs = (node, src) if to_rows else (src, node)
-        values = np.min(self.price(*arcs) - np.append(prices, (0.0, 0.0))[src], axis=1)
-        return values, arcs
+        shifted = np.append(prices, (0.0, 0.0))
+        return np.concatenate([np.min(price - shifted, axis=1)
+                               for _, _, price in self._blocks(to_rows)])
 
 
 def build_cost_matrix(model: Model, grid: Grid, tau: float) -> CostMatrix:
@@ -650,7 +629,7 @@ class _JointLP:
             # so only the other rows are priced arc by arc.
             u = duals[:n]
             v = duals[n:]
-            flagged = np.flatnonzero(cost.c_transform(v, to_rows=True)[0][:n] - u < -0.5 * tol)
+            flagged = np.flatnonzero(cost.c_transform(v, to_rows=True)[:n] - u < -0.5 * tol)
             if not len(flagged):
                 break
             r, c = np.repeat(flagged, n), np.tile(cells, len(flagged))
@@ -918,10 +897,10 @@ def _assemble_candidate(kern: _Kernel, cost: CostMatrix, arcs: tuple, stats: dic
     # feasibility repair: exact double c-transform with the walls at price 0,
     # lowering only entries that violate a constraint and leaving tight arcs
     # untouched
-    repaired = np.minimum(ps_out, cost.c_transform(phi_out, to_rows=False)[0][:n])
+    repaired = np.minimum(ps_out, cost.c_transform(phi_out, to_rows=False)[:n])
     repair = float(np.max(ps_out - repaired, initial=0.0))
     ps_out = repaired
-    phi_out = cost.c_transform(ps_out, to_rows=True)[0][:n]
+    phi_out = cost.c_transform(ps_out, to_rows=True)[:n]
 
     gap = (value - _dual_value(kern, phi_out, ps_out)) / (1.0 + abs(value))
     return _Candidate(plan, h, rho, phi_out, ps_out, primal, value, abs(gap), repair)
@@ -1040,8 +1019,8 @@ def extract_potentials(
     walls at price 0. kkt_kappa is the worst |phi* + cost_slope(h)| over
     interior cells: h is the rate at price -phi*, so the price identity
     holds with no offset and this measures its rounding. concavity_gap is
-    the positive part of phi + phi* - price over admissible pairs, read on
-    each row's c-transform window, and support_slack the worst
+    the positive part of phi + phi* - price over every admissible pair, read
+    in the blocks c_transform scans, and support_slack the worst
     complementary-slackness violation on the plan's arcs (rows, columns,
     masses) above the mass floor; the plan holds no wall-to-wall arc.
     """
@@ -1049,8 +1028,8 @@ def extract_potentials(
     row_price = np.append(phi, (0.0, 0.0))
     col_price = np.append(phi_star, (0.0, 0.0))
 
-    _, (r, c) = cost.c_transform(phi_star, to_rows=True)
-    concavity_gap = float(np.max(np.maximum(row_price[r] + col_price[c] - cost.price(r, c), 0.0)))
+    concavity_gap = max(float(np.max(np.maximum(row_price[k] + col_price[s] - price, 0.0)))
+                        for k, s, price in cost._blocks(to_rows=True))
 
     r, c, mass = arcs
     keep = mass > _MASS_FLOOR_FACTOR * max(float(np.sum(mass)), 1e-300)

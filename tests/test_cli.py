@@ -145,11 +145,16 @@ def test_oracle_default_step_divides_t_final(small_cfg, tmp_path):
     assert float(header[0].split(":", 1)[1]) == 0.2 / math.ceil(0.2 / (0.07 / 8))
 
 
-def test_oracle_rejects_nondividing_dt(small_cfg, tmp_path):
+def test_oracle_rejects_nondividing_dt(small_cfg, tmp_path, capsys):
     out = tmp_path / "oracle_bad"
     code = main(["oracle", "--config", str(small_cfg), "--output", str(out),
                  "--dt", "0.07"])
     assert code == EXIT_CONFIG
+    for dt in ("nan", "inf"):
+        capsys.readouterr()
+        assert main(["oracle", "--config", str(small_cfg), "--output", str(out),
+                     "--dt", dt]) == EXIT_CONFIG
+        assert f"--dt: need positive, finite dt and t_final, got {dt}" in capsys.readouterr().err
 
 
 def test_compare_reports_distance(small_cfg, capsys):

@@ -39,6 +39,9 @@ def test_dt_must_divide_horizon(unit_model, grid8):
         solve_fd(unit_model, grid8, np.ones(8), t_final=1.0, dt=0.3)
     with pytest.raises(ValueError):
         solve_fd(unit_model, grid8, np.ones(8), t_final=1.0, dt=-0.1)
+    for dt, t_final in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValueError, match="positive, finite dt and t_final"):
+            solve_fd(unit_model, grid8, np.ones(8), t_final=t_final, dt=dt)
     with pytest.raises(ValueError):
         solve_fd(unit_model, grid8, np.zeros(8), t_final=1.0, dt=0.1)
 

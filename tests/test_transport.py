@@ -1,6 +1,7 @@
 """Production solver: feasibility, optimality certificates, and conventions."""
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +63,15 @@ def _dense_c_transform(cost, prices, to_rows):
     return np.min(table, axis=1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 300, 1000])
 @pytest.mark.parametrize("seed", range(6))
 def test_c_transform_matches_a_dense_scan(n, seed):
-    """The envelope's transform equals the dense minimum bit for bit, walls included.
+    """The blocked scan equals the dense minimum bit for bit, walls included.
 
     Some draws plant exact ties: equal prices on every cell, prices copied to
     a neighbour, or prices that make each node tight against a run of cells
-    (the shape of an optimum's duals).
+    (the shape of an optimum's duals). On 300 and 1 000 cells the scan spans
+    several blocks, and the last block is shorter than the others.
     """
     rng = np.random.default_rng(seed)
     model = build_model(0.0, 1.0, make_reaction("power", w=1.0, beta=0.0, q=1.0),
@@ -90,13 +92,35 @@ def test_c_transform_matches_a_dense_scan(n, seed):
         centres = np.sort(rng.uniform(0.0, 1.0, max(1, n // 6)))
         offsets = rng.uniform(-0.1, 0.1, len(centres)) * scale
         prices = np.min((x[:, None] - centres[None, :]) ** 2 * scale - offsets[None, :], axis=1)
+    if n >= 300:
+        rows = transport._SCAN_ENTRIES // (n + 2)
+        assert rows < n + 2 and (n + 2) % rows    # a short last block
     for to_rows in (True, False):
-        values, (r, c) = cost.c_transform(prices, to_rows=to_rows)
-        assert np.array_equal(values, _dense_c_transform(cost, prices, to_rows))
-        query, source = (r, c) if to_rows else (c, r)
-        assert np.all(np.broadcast_to(query, source.shape) == np.arange(n + 2)[:, None])
-        assert np.all(source[n:] < n)    # a wall reads cells only
-        assert np.all((source[:n] == n).any(axis=1) & (source[:n] == n + 1).any(axis=1))
+        assert np.array_equal(cost.c_transform(prices, to_rows=to_rows),
+                              _dense_c_transform(cost, prices, to_rows))
+
+
+def test_scans_hold_no_price_table(drifty_model):
+    """On 2 048 cells a c-transform or extract_potentials peaks far below the 33.6 MB table."""
+    n = 2048
+    grid = build_grid(0.0, 1.0, n)
+    cost = build_cost_matrix(drifty_model, grid, 0.05)
+    rng = np.random.default_rng(0)
+    phi, phi_star = rng.uniform(-1.0, 1.0, (2, n))
+    cells = np.arange(n)
+    arcs = (cells, cells, np.full(n, 1.0 / n))
+    calls = [lambda: cost.c_transform(phi_star, to_rows=True),
+             lambda: cost.c_transform(phi, to_rows=False),
+             lambda: transport.extract_potentials(cost, drifty_model, grid, arcs,
+                                                  np.zeros(n), phi, phi_star)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def test_wall_arcs_price_the_reservoir(drifty_model, grid8):
